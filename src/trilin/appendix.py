@@ -13,10 +13,10 @@ import json
 from pathlib import Path
 
 from .errors import IntegrityError
-from .gadgets import GadgetBlueprint, SubGadget, join_clause, make_sun
+from .gadgets import GadgetBlueprint, SubGadget, _clause_roles, join_clause, make_sun
 from .graph import Graph
 from .operators import PreimageWitness
-from .search import SQUARED_CYCLE, WHEEL, Glue, sun_template_edges, sun_triangles
+from .search import SQUARED_CYCLE, WHEEL, Glue, sun_units, unit_parts
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -61,9 +61,7 @@ def load_appendix_clause_gadget(appendix_dir: str | Path | None = None) -> Gadge
         apex = tuple(slots[2 * p + 1] for p in range(12))
         subs[f"S{ell}"] = SubGadget(
             "sun12", tuple(sorted(set(cycle + apex))),
-            {"cycle": cycle, "apex": apex,
-             "a_triangle": (cycle[0], cycle[1], apex[0]),
-             "b_triangle": (cycle[6], cycle[7], apex[6])},
+            {"cycle": cycle, "apex": apex, **_clause_roles(cycle, apex)},
         )
     return GadgetBlueprint(g, "clause", {}, subs)
 
@@ -90,41 +88,19 @@ def load_appendix_preimage(wheels: int,
 # ---------------------------------------------------------------------------
 
 
-def _leg_atom(ell: int, wheel: bool, v: int) -> tuple:
-    """Leg-local name of template vertex v: ('h', 0) for the wheel hub,
-    ('x', p) for rim vertex p, ('u', p) for squared-cycle vertex p."""
-    if not wheel:
-        return (ell, "u", v)
-    return (ell, "h", 0) if v == 12 else (ell, "x", v)
-
-
-def build_clause_preimage(wheels: tuple[bool, bool, bool],
-                          target: Graph | None = None) -> PreimageWitness:
+def build_clause_preimage(wheels: tuple[bool, bool, bool]) -> PreimageWitness:
     """Glue three wheel / squared-cycle legs along the clause identification.
 
-    In the target the a-triangle of leg l (sun indices 0, 1, 2) is the
-    b-triangle of leg l+1 (indices 12, 13, 14), so gluing the legs along the
-    triangles they share (search.Glue) matches their corners through the
-    edge correspondence 0=12, 1=14, 2=13.  The result is returned as a
-    witness against the clause gadget and is *not* checked here; the
-    all-wheels input yields a witness that fails verification.
+    The legs are the sun units S1, S2, S3 of
+    join_clause(make_sun(12) x3); gluing their templates along the
+    triangles they share (search.Glue) matches the a-triangle of leg l
+    (sun indices 0, 1, 2) with the b-triangle of leg l+1 (indices 12, 13,
+    14) through the edge correspondence 0=12, 1=14, 2=13.  The result is
+    returned as a witness against the clause gadget and is *not* checked
+    here; the all-wheels input yields a witness that fails verification.
     """
-    if target is None:
-        target = join_clause(make_sun(12), make_sun(12), make_sun(12)).graph
-    by_label = {part: v for v in range(target.n)
-                for part in target.labels[v].split("=")}
-
-    def tid(ell: int, idx: int) -> int:
-        lab = f"S{ell}/" + (f"c{idx // 2}" if idx % 2 == 0 else f"a{idx // 2}")
-        if lab not in by_label:
-            raise IntegrityError(f"target lacks label {lab}")
-        return by_label[lab]
-
-    glue = Glue(target)
-    for ell, wheel in zip((1, 2, 3), wheels):
-        kind = WHEEL if wheel else SQUARED_CYCLE
-        part = {tid(ell, idx): (_leg_atom(ell, wheel, u), _leg_atom(ell, wheel, v))
-                for idx, (u, v) in sun_template_edges(kind, 12).items()}
-        glue.add(part, [tuple(tid(ell, i) for i in tri)
-                        for tri in sun_triangles(12)])
+    bp = join_clause(make_sun(12), make_sun(12), make_sun(12))
+    glue = Glue(bp.graph)
+    for (_, parts, tris), wheel in zip(unit_parts(sun_units(bp)), wheels):
+        glue.add(parts[WHEEL if wheel else SQUARED_CYCLE], tris)
     return glue.witness()

@@ -131,8 +131,6 @@ budget_options = (
     click.option("--time-budget", type=float, default=None),
     click.option("--node-budget", type=int, default=None),
     click.option("--max-target-vertices", type=int, default=None),
-    click.option("--workers", type=int, default=1,
-                 help="Worker count (results are worker-count independent)."),
 )
 
 
@@ -257,9 +255,8 @@ def preimage():
 @out_option
 @click.pass_context
 def preimage_solve(ctx, graph_file, time_budget, node_budget,
-                   max_target_vertices, workers, fmt, out):
+                   max_target_vertices, fmt, out):
     """Brute-force preimage classes of a small target graph."""
-    del workers  # results are worker-count independent; executed serially
     g = load_graph_file(graph_file)
     lim = _limits(ctx.obj, time_budget, node_budget, max_target_vertices)
     try:
@@ -327,13 +324,10 @@ def reduce_cmd(ctx, cnf_file, fmt, out):
 @out_option
 @click.pass_context
 def decide_cmd(ctx, cnf_file, max_vars, time_budget, node_budget,
-               max_target_vertices, workers, out):
+               max_target_vertices, out):
     """Decide satisfiability through the compiled graph's preimages."""
-    del workers
     formula = _read_formula(cnf_file)
-    lim = None
-    if time_budget is not None or node_budget is not None:
-        lim = _limits(ctx.obj, time_budget, node_budget, max_target_vertices)
+    lim = _limits(ctx.obj, time_budget, node_budget, max_target_vertices)
     try:
         res = decide_formula(formula, lim, max_vars=max_vars)
     except StructureError as exc:
@@ -357,7 +351,11 @@ def decide_cmd(ctx, cnf_file, max_vars, time_budget, node_budget,
 def witness_cmd(cnf_file, assignment, out):
     """Materialize the preimage for a satisfying ASSIGNMENT (e.g. '101')."""
     formula = _read_formula(cnf_file)
-    bits = tuple(c == "1" for c in assignment.replace(",", ""))
+    digits = assignment.replace(",", "")
+    if not set(digits) <= {"0", "1"}:
+        raise click.ClickException(
+            f"assignment must be 0/1 digits, got {assignment!r}")
+    bits = tuple(c == "1" for c in digits)
     if len(bits) != formula.variable_count:
         raise click.ClickException(
             f"assignment length {len(bits)} != {formula.variable_count} variables")
@@ -469,9 +467,8 @@ def _check_lemma_battery(appendix_dir, lim) -> list[tuple[str, str, str]]:
 @_with_budget_options
 @click.pass_context
 def check_lemmas(ctx, appendix_dir, time_budget, node_budget,
-                 max_target_vertices, workers):
+                 max_target_vertices):
     """Run the lemma battery and print a PASS/FAIL report."""
-    del workers
     lim = _limits(ctx.obj, time_budget, node_budget, max_target_vertices)
     if lim.time_budget is None:
         # each row is individually bounded so the battery always terminates

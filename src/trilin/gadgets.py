@@ -12,12 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import GraphConstructionError, ParseError, StructureError
-from .graph import (
-    Graph,
-    enumerate_triangles,
-    from_json_obj,
-    to_json_obj,
-)
+from .graph import Graph, from_json_obj, to_json_obj
 
 EQUAL = "EQUAL"
 NOT = "NOT"
@@ -511,30 +506,3 @@ def join_clause(g1: GadgetBlueprint, g2: GadgetBlueprint,
                 )
     _clause_pairs(asm, legs)
     return asm.build("clause")
-
-
-# ---------------------------------------------------------------------------
-# Solver registry helpers
-# ---------------------------------------------------------------------------
-
-
-def binary_units(bp: GadgetBlueprint) -> list[tuple[str, SubGadget]]:
-    """The registered 7-sun units a template solver branches over."""
-    units = []
-    if bp.kind == "sun7":
-        units.append(("self", SubGadget("sun7", tuple(range(bp.graph.n)), dict(bp.roles))))
-    for name in sorted(bp.sub_gadgets):
-        sg = bp.sub_gadgets[name]
-        if sg.kind == "sun7":
-            units.append((name, sg))
-    return units
-
-
-def check_unit_coverage(bp: GadgetBlueprint) -> None:
-    """Every triangle of the host must lie inside some registered 7-sun."""
-    units = binary_units(bp)
-    sets = [set(sg.vertices) for _, sg in units]
-    for tri in enumerate_triangles(bp.graph):
-        tv = set(tri)
-        if not any(tv <= s for s in sets):
-            raise StructureError(f"triangle {tri} not covered by any 7-sun unit")

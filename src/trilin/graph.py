@@ -182,7 +182,7 @@ def _refine_joint(graphs: list[Graph]) -> list[list[int]]:
         colors = new_colors
 
 
-def _iso_backtrack(g1: Graph, g2: Graph, find_all: bool):
+def _iso_backtrack(g1: Graph, g2: Graph):
     """Yield isomorphisms g1 -> g2 as dicts. Deterministic order."""
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return
@@ -253,14 +253,14 @@ def _iso_backtrack(g1: Graph, g2: Graph, find_all: bool):
 
 def find_isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:
     """A vertex bijection mapping edges to edges both ways, or None."""
-    for m in _iso_backtrack(g1, g2, find_all=False):
+    for m in _iso_backtrack(g1, g2):
         return m
     return None
 
 
 def all_isomorphisms(g1: Graph, g2: Graph) -> list[dict[int, int]]:
     """Every isomorphism g1 -> g2, in deterministic order."""
-    return list(_iso_backtrack(g1, g2, find_all=True))
+    return list(_iso_backtrack(g1, g2))
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

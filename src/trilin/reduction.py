@@ -91,6 +91,8 @@ def parse_dimacs(text: str) -> CnfFormula:
                 n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"bad problem line {line!r}", lineno)
+            if n < 0 or m < 0:
+                raise ParseError(f"negative count in problem line {line!r}", lineno)
             continue
         if n is None:
             raise ParseError("clause before problem line", lineno)
@@ -144,7 +146,13 @@ def _tap_index(clause_index: int, positive: bool) -> int:
 def compile_formula(formula: CnfFormula, enforce: int = 12) -> ReductionOutput:
     """Build the reduction graph: one cluster per variable, wire length
     2m + 1, with enforced `enforce`-suns as taps, plus one three-way twist
-    per clause."""
+    per clause.
+
+    Every enforce >= 12 builds, but the measured soundness depends on it:
+    12 and 15 collapse (the enforced sun keeps only the wheel side); a
+    clause of enforced 13-suns has no feasible pattern and a 14-sun clause
+    has 1; 16 is sound; 17 and 18 give the 7 clause patterns, but no
+    decide() run has checked them; 19 and 20 give only 4 patterns."""
     m = len(formula.clauses)
     if m == 0:
         raise StructureError("formula has no clauses")
@@ -270,7 +278,8 @@ def decide(formula: CnfFormula, limits: SearchLimits | None = None,
     lexicographic order, keep the first whose prescribed preimage actually
     materializes and verifies.  UNSAT only after the whole space is
     exhausted; budget exhaustion reports UNKNOWN.  `enforce` is the tap
-    size of the compiled graph (see compile_formula)."""
+    size of the compiled graph; only 16 is known to give the truth table's
+    answers (see compile_formula for the measured sizes)."""
     n = formula.variable_count
     if n > max_vars:
         raise StructureError(

@@ -120,8 +120,7 @@ class _State:
             self.slots = max((max(x) + 1 for x in self.edge_owner), default=0)
 
 
-def _candidate_edges_for(state: _State, h: Graph, tv: int, order_pos: dict[int, int],
-                         slot_cap: int):
+def _candidate_edges_for(state: _State, h: Graph, tv: int, slot_cap: int):
     """Pairs (a, b) the target vertex tv may be assigned, respecting the
     shared-endpoint constraint from already placed target neighbors and the
     fresh-slot introduction order."""
@@ -154,12 +153,16 @@ def _candidate_edges_for(state: _State, h: Graph, tv: int, order_pos: dict[int, 
     return opts
 
 
-def _search_assignments(h: Graph, limits: SearchLimits):
-    """Yields every complete certified assignment (slot-canonical), i.e.
-    dict target -> candidate edge, such that T(candidate) maps onto h."""
+def _certified_witnesses(h: Graph, limits: SearchLimits | None):
+    """Yields a verified witness for every complete certified assignment
+    (slot-canonical) of the target vertices to candidate edges."""
+    limits = limits or SearchLimits()
+    if h.n > limits.max_target_vertices:
+        raise CapacityError(
+            f"target has {h.n} vertices, over the limit "
+            f"{limits.max_target_vertices}")
     slot_cap = limits.max_candidate_vertices or 2 * h.n
     order = _target_order(h)
-    order_pos = {v: i for i, v in enumerate(order)}
     state = _State()
     budget = _Budget(limits)
 
@@ -168,10 +171,10 @@ def _search_assignments(h: Graph, limits: SearchLimits):
             cand = Graph(state.slots, state.edge_owner.keys())
             w = PreimageWitness(h, cand, dict(state.edge_owner))
             if verify_certificate(w):
-                yield dict(state.edge_owner)
+                yield w
             return
         tv = order[i]
-        for a, b in _candidate_edges_for(state, h, tv, order_pos, slot_cap):
+        for a, b in _candidate_edges_for(state, h, tv, slot_cap):
             budget.tick()
             if state.place(h, tv, a, b):
                 yield from rec(i + 1)
@@ -186,31 +189,18 @@ def brute_force_preimages(h: Graph, limits: SearchLimits | None = None) -> list[
     Complete within the candidate-vertex bound (default 2|V(h)|, which no
     preimage can exceed).  Empty list means h has no preimage at all.
     """
-    limits = limits or SearchLimits()
-    if h.n > limits.max_target_vertices:
-        raise CapacityError(
-            f"target has {h.n} vertices, over the limit "
-            f"{limits.max_target_vertices}")
     seen: dict[bytes, PreimageWitness] = {}
-    for edge_owner in _search_assignments(h, limits):
-        cand = Graph(1 + max((max(e) for e in edge_owner), default=-1),
-                     edge_owner.keys())
-        key = canonical_form(cand)
-        if key not in seen:
-            seen[key] = PreimageWitness(h, cand, edge_owner)
+    for w in _certified_witnesses(h, limits):
+        seen.setdefault(canonical_form(w.candidate), w)
     return [seen[k] for k in sorted(seen)]
 
 
 def count_labeled_preimages(h: Graph, limits: SearchLimits | None = None) -> int:
     """Certified (candidate, bijection) pairs modulo candidate relabeling."""
-    limits = limits or SearchLimits()
-    if h.n > limits.max_target_vertices:
-        raise CapacityError("target too large")
     reps: dict[bytes, Graph] = {}
     keys: set[tuple] = set()
-    for edge_owner in _search_assignments(h, limits):
-        cand = Graph(1 + max((max(e) for e in edge_owner), default=-1),
-                     edge_owner.keys())
+    for w in _certified_witnesses(h, limits):
+        cand, edge_owner = w.candidate, w.edge_to_vertex
         ck = canonical_form(cand)
         rep = reps.setdefault(ck, cand)
         best = None
@@ -423,15 +413,23 @@ class Glue:
         return PreimageWitness(self.target, Graph(len(vid), mapping), mapping)
 
 
-def _solver_units(bp: GadgetBlueprint) -> list[tuple[str, SubGadget]]:
-    units = []
-    if bp.kind in ("sun7", "sun12") and "cycle" in bp.roles:
-        units.append(("self", SubGadget(bp.kind, tuple(range(bp.graph.n)),
-                                        dict(bp.roles))))
-    for name in sorted(bp.sub_gadgets):
-        sg = bp.sub_gadgets[name]
-        if sg.kind in ("sun7", "sun12") and name != "self":
-            units.append((name, sg))
+def _is_sun_unit(sg: SubGadget) -> bool:
+    cycle, apex = sg.roles.get("cycle"), sg.roles.get("apex")
+    return (cycle is not None and apex is not None and len(cycle) == len(apex)
+            and set(sg.vertices) == set(cycle) | set(apex))
+
+
+def sun_units(bp: GadgetBlueprint) -> list[tuple[str, SubGadget]]:
+    """The units a template solver branches over: the blueprint itself (as
+    "self"), then every registered sub-gadget in name order, each taken
+    exactly when its roles hold `cycle` and `apex` of equal length and its
+    vertex set is exactly those vertices.  Raises StructureError when there
+    is none."""
+    whole = SubGadget(bp.kind, tuple(range(bp.graph.n)), dict(bp.roles))
+    candidates = [("self", whole)] + [
+        (name, bp.sub_gadgets[name]) for name in sorted(bp.sub_gadgets)
+        if name != "self"]
+    units = [(name, sg) for name, sg in candidates if _is_sun_unit(sg)]
     if not units:
         raise StructureError("blueprint has no registered sun units")
     return units
@@ -468,46 +466,28 @@ def _order_units(units):
     return order
 
 
-def _unit_positions(sg: SubGadget) -> dict[int, int]:
-    """Sun position index (2p cycle / 2p+1 apex) -> host vertex."""
-    pos = {}
-    for p, v in enumerate(sg.roles["cycle"]):
-        pos[2 * p] = v
-    for p, v in enumerate(sg.roles["apex"]):
-        pos[2 * p + 1] = v
-    return pos
-
-
-def sun_template_edges(kind: str, k: int) -> dict[int, tuple[int, int]]:
-    """The base labeling T maps onto the k-sun: sun position (2p = cycle p,
-    2p+1 = apex p) -> edge of the k-wheel (hub k, rim 0..k-1) or of the
-    squared k-cycle (0..k-1)."""
-    out = {}
-    for p in range(k):
-        if kind == WHEEL:
-            out[2 * p] = (p, k)                  # spoke -> cycle vertex p
-            out[2 * p + 1] = (p, (p + 1) % k)    # rim -> apex p
-        else:
-            out[2 * p] = (p, (p + 1) % k)        # short edge -> cycle p
-            out[2 * p + 1] = (p, (p + 2) % k)    # chord -> apex p
-    return out
-
-
-def sun_triangles(k: int) -> list[tuple[int, int, int]]:
-    """The k triangles of a k-sun as position triples (c_p, a_p, c_p+1)."""
-    return [(2 * p, 2 * p + 1, (2 * p + 2) % (2 * k)) for p in range(k)]
-
-
-def _unit_parts(sg: SubGadget, offset: int):
-    """Per kind, the unit's template as a Glue part (target vertex -> atom
-    pair, atoms numbered from offset), and its triangles."""
-    pos = _unit_positions(sg)
-    k = len(sg.roles["cycle"])
-    parts = {kind: {pos[i]: (offset + u, offset + v)
-                    for i, (u, v) in sun_template_edges(kind, k).items()}
-             for kind in (WHEEL, SQUARED_CYCLE)}
-    tris = [tuple(pos[i] for i in tri) for tri in sun_triangles(k)]
-    return parts, tris
+def unit_parts(units):
+    """Yields (name, parts, triangles) per unit: `parts` maps each kind to
+    the unit's template as a Glue part, `triangles` lists the unit's k
+    triangles (c_p, a_p, c_p+1) as target-vertex triples.  A wheel (rim
+    0..k-1, hub k) maps cycle vertex p to the spoke (p, k) and apex p to
+    the rim edge (p, p+1); a squared cycle (0..k-1) maps them to (p, p+1)
+    and the chord (p, p+2).  Template vertices become atoms by adding an
+    offset that grows by k + 1 per unit, so no two units share an atom."""
+    offset = 0
+    for name, sg in units:
+        cycle, apex = sg.roles["cycle"], sg.roles["apex"]
+        k = len(cycle)
+        atom = lambda p: offset + p % k
+        wheel, squared = {}, {}
+        for p in range(k):
+            wheel[cycle[p]] = (atom(p), offset + k)
+            wheel[apex[p]] = (atom(p), atom(p + 1))
+            squared[cycle[p]] = (atom(p), atom(p + 1))
+            squared[apex[p]] = (atom(p), atom(p + 2))
+        tris = [(cycle[p], apex[p], cycle[(p + 1) % k]) for p in range(k)]
+        yield name, {WHEEL: wheel, SQUARED_CYCLE: squared}, tris
+        offset += k + 1
 
 
 def template_solve(bp: GadgetBlueprint,
@@ -527,16 +507,12 @@ def template_solve(bp: GadgetBlueprint,
     """
     limits = limits or SearchLimits()
     pin = pin or {}
-    units = _solver_units(bp)
+    units = sun_units(bp)
     unknown = set(pin) - {name for name, _ in units}
     if unknown:
         raise StructureError(f"pinned units not registered: {sorted(unknown)}")
     _check_triangle_coverage(bp, units)
-    plans = []
-    offset = 0
-    for name, sg in _order_units(units):
-        plans.append((name,) + _unit_parts(sg, offset))
-        offset += len(sg.roles["cycle"]) + 1
+    plans = list(unit_parts(_order_units(units)))
     budget = _Budget(limits)
     glue = Glue(bp.graph)
     results: dict[tuple, TemplateAssignment] = {}
@@ -584,17 +560,14 @@ def glue_templates(bp: GadgetBlueprint, choices: dict[str, str],
     Raises CertificateError, naming the first unit (in name order) whose
     template cannot be glued on, when the choices admit no preimage.
     """
-    units = _solver_units(bp)
+    units = sun_units(bp)
     missing = [name for name, _ in units if name not in choices]
     if missing:
         raise StructureError(f"no choice for units {missing[:3]} "
                              f"({len(missing)} in all)")
     glue = Glue(bp.graph)
     pending: list = []
-    offset = 0
-    for name, sg in units:
-        parts, tris = _unit_parts(sg, offset)
-        offset += len(sg.roles["cycle"]) + 1
+    for name, parts, tris in unit_parts(units):
         failure, more = glue.add(parts[choices[name]], tris)
         if failure is not None:
             raise CertificateError(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -146,6 +147,12 @@ def test_decide_exit_codes(tmp_path):
     res = run_cli("decide", str(sat), "--node-budget", "1")
     assert res.returncode == 3
     assert json.loads(res.stdout)["status"] == "UNKNOWN"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"node_budget": 1}))
+    res = run_cli("decide", str(sat),
+                  env=dict(os.environ, TRILIN_CONFIG=str(cfg)))
+    assert res.returncode == 3
+    assert json.loads(res.stdout)["status"] == "UNKNOWN"
     res = run_cli("decide", str(sat), "--max-vars", "2")
     assert res.returncode == 2
 
@@ -160,6 +167,7 @@ def test_witness_command_reports_failures(tmp_path):
     assert res.returncode == 1
     assert "no preimage" in res.stderr.lower()
     assert run_cli("witness", str(cnf), "10").returncode == 2
+    assert run_cli("witness", str(cnf), "1x1").returncode == 2
 
 
 def test_config_file_sets_default_format(tmp_path, k4e_file):

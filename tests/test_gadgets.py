@@ -8,8 +8,6 @@ from trilin.gadgets import (
     GadgetBlueprint,
     attach_equal,
     attach_not,
-    binary_units,
-    check_unit_coverage,
     designate_attachments,
     join_clause,
     make_binary_enforced_sun,
@@ -30,6 +28,7 @@ from trilin.graph import (
     is_isomorphic,
 )
 from trilin.operators import is_triangle_induced, triangular_line_graph
+from trilin.search import sun_units
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +185,9 @@ def test_binary_enforced_sun_shape():
             make_sun(7).graph,
         )
     assert bp.sub("sun12").kind == "sun12"
-    check_unit_coverage(bp)
+    units = sun_units(bp)
+    for tri in enumerate_triangles(g):
+        assert any(set(tri) <= set(sg.vertices) for _, sg in units)
 
 
 def test_binary_enforced_sun_minimum_size():
@@ -196,11 +197,12 @@ def test_binary_enforced_sun_minimum_size():
 
 def test_binary_units_registry():
     bp = make_binary_enforced_sun(12)
-    units = binary_units(bp)
-    assert len(units) == 12
-    assert all(sg.kind == "sun7" for _, sg in units)
+    units = sun_units(bp)
+    assert [name for name, _ in units] == sorted(
+        [f"emb{i}" for i in range(12)] + ["sun12"])
+    assert sorted(sg.kind for _, sg in units) == ["sun12"] + ["sun7"] * 12
     solo = designate_attachments(make_sun(7))
-    assert [name for name, _ in binary_units(solo)] == ["self"]
+    assert [name for name, _ in sun_units(solo)] == ["self"]
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ def test_parse_clause_spanning_lines():
     "p dnf 3 1\n1 2 3 0\n",            # wrong format tag
     "p cnf 3 1\np cnf 3 1\n1 2 3 0\n",  # duplicate header
     "p cnf 3 1\nx y z 0\n",            # junk literal
+    "p cnf -2 0\n",                     # negative variable count
 ])
 def test_parse_rejects(text):
     with pytest.raises(ParseError):

@@ -127,8 +127,12 @@ def test_budget_raises_cleanly():
 # ---------------------------------------------------------------------------
 
 
-def test_template_solve_single_7sun():
-    found = template_solve(designate_attachments(make_sun(7)))
+@pytest.mark.parametrize("build", [
+    lambda: designate_attachments(make_sun(7)),
+    lambda: make_sun(16),                # a lone k-sun is its own unit
+], ids=["sun7", "sun16"])
+def test_template_solve_single_7sun(build):
+    found = template_solve(build())
     assert len(found) == 2
     kinds = {a.choices["self"] for a in found}
     assert kinds == {WHEEL, SQUARED_CYCLE}
