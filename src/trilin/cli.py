@@ -25,7 +25,6 @@ from .errors import (
     UnsatisfyingAssignmentError,
 )
 from .gadgets import (
-    GadgetBlueprint,
     join_clause,
     make_binary_enforced_sun,
     make_bowtie,
@@ -48,7 +47,6 @@ from .graph import (
 )
 from .operators import (
     PreimageWitness,
-    restrict_preimage,
     triangular_line_graph,
     verify_certificate,
 )
@@ -60,7 +58,6 @@ from .reduction import (
     witness_from_assignment,
 )
 from .search import (
-    SQUARED_CYCLE,
     WHEEL,
     SearchLimits,
     brute_force_preimages,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import GraphConstructionError, ParseError, StructureError
+from .errors import ParseError, StructureError
 from .graph import Graph, from_json_obj, to_json_obj
 
 EQUAL = "EQUAL"

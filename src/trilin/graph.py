@@ -426,16 +426,22 @@ def to_json(g: Graph) -> str:
 
 
 def from_json_obj(obj: dict) -> Graph:
+    """The graph of a JSON object: an integer `n`, `edges` as integer
+    pairs, optional `labels` from vertex numbers to strings."""
+    is_int = lambda x: isinstance(x, int) and not isinstance(x, bool)
+    if not isinstance(obj, dict) or not is_int(obj.get("n")):
+        raise ParseError("bad graph JSON: n must be an integer")
+    edges, labels = obj.get("edges"), obj.get("labels") or {}
+    if not isinstance(edges, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(map(is_int, e))
+            for e in edges):
+        raise ParseError("bad graph JSON: edges must be pairs of integers")
+    if not isinstance(labels, dict) or not all(
+            k.isascii() and k.isdigit() and isinstance(v, str)
+            for k, v in labels.items()):
+        raise ParseError("bad graph JSON: labels must map vertex numbers to strings")
     try:
-        n = obj["n"]
-        edges = [tuple(e) for e in obj["edges"]]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad graph JSON: {exc}")
-    labels = None
-    if obj.get("labels"):
-        labels = {int(k): v for k, v in obj["labels"].items()}
-    try:
-        return Graph(n, edges, labels)
+        return Graph(obj["n"], edges, {int(k): v for k, v in labels.items()})
     except GraphConstructionError as exc:
         raise ParseError(str(exc))
 

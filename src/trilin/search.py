@@ -13,6 +13,7 @@ along the triangles the units share (`Glue`).
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 
@@ -99,25 +100,24 @@ class _State:
         e = (min(a, b), max(a, b))
         if e in self.edge_owner:
             return False
+        slots = self.slots
         self.assign[tv] = e
         self.edge_owner[e] = tv
-        grew = max(a, b) >= self.slots
-        self.slots = max(self.slots, a + 1, b + 1)
+        self.slots = max(slots, a + 1, b + 1)
         self.gadj.setdefault(a, set()).add(b)
         self.gadj.setdefault(b, set()).add(a)
         if not self.new_triangles_ok(h, a, b):
-            self.unplace(tv, a, b, grew)
+            self.unplace(tv, a, b, slots)
             return False
         return True
 
-    def unplace(self, tv: int, a: int, b: int, grew: bool):
-        e = (min(a, b), max(a, b))
+    def unplace(self, tv: int, a: int, b: int, slots: int):
+        """Undo `place`; `slots` is the high-water mark from before it."""
         del self.assign[tv]
-        del self.edge_owner[e]
+        del self.edge_owner[(min(a, b), max(a, b))]
         self.gadj[a].discard(b)
         self.gadj[b].discard(a)
-        if grew:
-            self.slots = max((max(x) + 1 for x in self.edge_owner), default=0)
+        self.slots = slots
 
 
 def _candidate_edges_for(state: _State, h: Graph, tv: int, slot_cap: int):
@@ -176,9 +176,10 @@ def _certified_witnesses(h: Graph, limits: SearchLimits | None):
         tv = order[i]
         for a, b in _candidate_edges_for(state, h, tv, slot_cap):
             budget.tick()
+            slots = state.slots
             if state.place(h, tv, a, b):
                 yield from rec(i + 1)
-                state.unplace(tv, a, b, True)
+                state.unplace(tv, a, b, slots)
 
     yield from rec(0)
 
@@ -238,10 +239,6 @@ class TemplateAssignment:
 
 
 _UNSET = object()
-
-
-class _Stop(Exception):
-    """Ends a glue search early from inside its callbacks."""
 
 
 class Glue:
@@ -334,7 +331,7 @@ class Glue:
         """Add a part: `edges` maps target vertices to pairs of atoms not
         seen before, `triangles` lists the part's triangles as target-vertex
         triples.  Returns the first failure, and the part's (t, atom pair)
-        copies of target vertices placed before, for `settle`."""
+        copies of target vertices placed before, for `ways`."""
         for t, (a, b) in edges.items():
             for x in (a, b):
                 if x not in self.parent:
@@ -364,37 +361,21 @@ class Glue:
                 self._set(self.edge, t, pair)
         return failure, pending
 
-    def settle(self, pending: list, then, tick=None, i: int = 0) -> None:
-        """Merge each pending copy into the placed edge of its target vertex
-        and call `then()` once per way to do so without a failure.  A copy
-        that already shares a class with one end has one orientation; a copy
-        sharing none (two parts meeting in a vertex but no triangle) tries
-        both.  The state is restored before returning."""
-        while i < len(pending):
-            t, (p, q) = pending[i]
-            x, y = self.edge[t]
-            rp, rq, rx, ry = (self.find(z) for z in (p, q, x, y))
-            if {rp, rq} != {rx, ry}:
-                break
-            i += 1
-        else:
-            then()
-            return
+    def ways(self, t, pair) -> tuple:
+        """The ways (two atom identifications each) to merge a copy `pair`
+        of target vertex t into t's placed edge: none when it is merged,
+        one when it shares a class with one end, both orientations when it
+        shares none (two parts meeting in a vertex but no triangle)."""
+        (p, q), (x, y) = pair, self.edge[t]
+        rp, rq, rx, ry = (self.find(z) for z in (p, q, x, y))
+        if {rp, rq} == {rx, ry}:
+            return ()
         straight, crossed = ((p, x), (q, y)), ((p, y), (q, x))
         if rp == rx or rq == ry:
-            ways = (straight,)
-        elif rp == ry or rq == rx:
-            ways = (crossed,)
-        else:
-            ways = (straight, crossed)
-        for way in ways:
-            if tick is not None:
-                tick()
-            mark = self.mark()
-            failures = [self.union(a, b) for a, b in way]
-            if not any(failures):
-                self.settle(pending, then, tick, i + 1)
-            self.rollback(mark)
+            return (straight,)
+        if rp == ry or rq == rx:
+            return (crossed,)
+        return (straight, crossed)
 
     def witness(self) -> PreimageWitness:
         """The glued candidate and its edge map onto the target, not
@@ -448,21 +429,28 @@ def _check_triangle_coverage(bp: GadgetBlueprint, units) -> None:
 
 
 def _order_units(units):
-    """Greedy: start at the lexicographically first unit, then always take
-    the unit with maximum vertex overlap with what is already placed."""
-    remaining = dict(units)
+    """Greedy fail-first order: the least name first, then always the unit
+    sharing the most vertices with the units already taken, ties broken by
+    name.  A unit's overlap count is pushed onto a heap each time it rises;
+    its highest entry pops first, so the entries left behind are skipped."""
+    by_name = dict(units)
+    holders: dict[int, list[str]] = {}
+    for name, sg in units:
+        for v in set(sg.vertices):
+            holders.setdefault(v, []).append(name)
+    overlap = dict.fromkeys(by_name, 0)
+    heap = [(0, name) for name in sorted(by_name)]
     order = []
-    placed: set[int] = set()
-    while remaining:
-        if not order:
-            name = min(remaining)
-        else:
-            best = max(len(placed & set(sg.vertices)) for sg in remaining.values())
-            name = min(nm for nm, sg in remaining.items()
-                       if len(placed & set(sg.vertices)) == best)
-        sg = remaining.pop(name)
-        order.append((name, sg))
-        placed |= set(sg.vertices)
+    while heap:
+        name = heapq.heappop(heap)[1]
+        if overlap.pop(name, None) is None:
+            continue
+        order.append((name, by_name[name]))
+        for v in by_name[name].vertices:
+            for other in holders.pop(v, ()):  # v counts once, when first taken
+                if other in overlap:
+                    overlap[other] += 1
+                    heapq.heappush(heap, (-overlap[other], other))
     return order
 
 
@@ -490,6 +478,54 @@ def unit_parts(units):
         offset += k + 1
 
 
+def _glue_search(bp: GadgetBlueprint, units, pin: dict[str, str],
+                 limits: SearchLimits | None, stuck: list):
+    """Depth-first search over each unit's kind (`pin` fixes some), in
+    `_order_units` order, and over each way to settle the unit's copies of
+    target vertices placed before (`Glue.ways`).  Yields (choices, glue)
+    whenever every unit is glued without a failure; the glue holds that
+    candidate until the search resumes.  Branch points live on an explicit
+    stack, so there is no recursion-depth limit.  `stuck` ends as (unit
+    index, name, kind, failure) of the deepest failed glue."""
+    _check_triangle_coverage(bp, units)
+    plans = [(name, parts, tris,
+              (pin[name],) if name in pin else (WHEEL, SQUARED_CYCLE))
+             for name, parts, tris in unit_parts(_order_units(units))]
+    tick = _Budget(limits or SearchLimits()).tick
+    glue = Glue(bp.graph)
+    choices: dict[str, str] = {}
+    # a frame: (mark, unit, its pending copies or None while its kind is
+    # open, the copy being settled, the untried alternatives)
+    stack = [(glue.mark(), 0, None, 0, iter(plans[0][3]))]
+    while stack:
+        mark, i, pending, j, alts = stack[-1]
+        glue.rollback(mark)
+        alt = next(alts, None)
+        if alt is None:
+            stack.pop()
+            continue
+        tick()
+        name, parts, tris, _ = plans[i]
+        if pending is None:
+            choices[name] = alt
+            failure, pending = glue.add(parts[alt], tris)
+        else:
+            failure = glue.union(*alt[0]) or glue.union(*alt[1])
+            j += 1
+        if failure is not None:
+            if not stuck or i > stuck[0]:
+                stuck[:] = (i, name, choices[name], failure)
+            continue
+        while j < len(pending) and not (ways := glue.ways(*pending[j])):
+            j += 1
+        if j < len(pending):
+            stack.append((glue.mark(), i, pending, j, iter(ways)))
+        elif i + 1 < len(plans):
+            stack.append((glue.mark(), i + 1, None, 0, iter(plans[i + 1][3])))
+        else:
+            yield choices, glue
+
+
 def template_solve(bp: GadgetBlueprint,
                    limits: SearchLimits | None = None,
                    pin: dict[str, str] | None = None,
@@ -497,95 +533,53 @@ def template_solve(bp: GadgetBlueprint,
     """Enumerate consistent global wheel / squared-cycle choices over all
     registered sun units; one certified witness per distinct choice vector.
 
-    The search branches on unit kinds in `_order_units` order and glues each
-    chosen template onto the units before it (see `Glue`); a prefix is
-    pruned as soon as the glue fails in a way no later unit can repair, and
-    a complete glue is kept when it verifies.
+    `_glue_search` prunes a prefix as soon as its glue fails in a way no
+    later unit can repair; each complete glue is kept when it verifies.
 
     pin fixes the choice of named units (others stay free); max_results
     stops the enumeration early.
     """
-    limits = limits or SearchLimits()
     pin = pin or {}
     units = sun_units(bp)
     unknown = set(pin) - {name for name, _ in units}
     if unknown:
         raise StructureError(f"pinned units not registered: {sorted(unknown)}")
-    _check_triangle_coverage(bp, units)
-    plans = list(unit_parts(_order_units(units)))
-    budget = _Budget(limits)
-    glue = Glue(bp.graph)
     results: dict[tuple, TemplateAssignment] = {}
-    choices: dict[str, str] = {}
-
-    def leaf():
+    for choices, glue in _glue_search(bp, units, pin, limits, []):
         key = tuple(sorted(choices.items()))
         if key in results:
-            return
+            continue
         w = glue.witness()
         if verify_certificate(w):
             results[key] = TemplateAssignment(dict(choices), w)
             if max_results is not None and len(results) >= max_results:
-                raise _Stop
-
-    def rec(i: int):
-        if i == len(plans):
-            leaf()
-            return
-        name, parts, tris = plans[i]
-        for kind in ((pin[name],) if name in pin else (WHEEL, SQUARED_CYCLE)):
-            budget.tick()
-            mark = glue.mark()
-            failure, pending = glue.add(parts[kind], tris)
-            if failure is None:
-                choices[name] = kind
-                glue.settle(pending, lambda: rec(i + 1), budget.tick)
-                del choices[name]
-            glue.rollback(mark)
-
-    try:
-        rec(0)
-    except _Stop:
-        pass
+                break
     return [results[k] for k in sorted(results)]
 
 
 def glue_templates(bp: GadgetBlueprint, choices: dict[str, str],
                    limits: SearchLimits | None = None) -> PreimageWitness:
-    """Materialize one choice vector without search: glue the chosen
-    template of every unit along the triangles the units share, and return
-    the glued candidate once it verifies.
+    """Materialize one choice vector: the first verified glue of the search
+    behind `template_solve` with every unit pinned to its choice.
 
     `choices` must name every registered unit; other names are ignored.
-    Raises CertificateError, naming the first unit (in name order) whose
-    template cannot be glued on, when the choices admit no preimage.
+    Raises CertificateError when the choices admit no preimage, naming the
+    first unit (in search order) whose template cannot be glued on, or
+    saying that the glued candidate does not verify.
     """
     units = sun_units(bp)
     missing = [name for name, _ in units if name not in choices]
     if missing:
         raise StructureError(f"no choice for units {missing[:3]} "
                              f"({len(missing)} in all)")
-    glue = Glue(bp.graph)
-    pending: list = []
-    for name, parts, tris in unit_parts(units):
-        failure, more = glue.add(parts[choices[name]], tris)
-        if failure is not None:
-            raise CertificateError(
-                "no preimage realizes the prescribed template choices: "
-                f"gluing the {choices[name]} template of {name} makes {failure}")
-        pending += more
-    found: list[PreimageWitness] = []
-
-    def leaf():
+    stuck: list = []
+    for _, glue in _glue_search(bp, units, choices, limits, stuck):
         w = glue.witness()
         if verify_certificate(w):
-            found.append(w)
-            raise _Stop
-
-    try:
-        glue.settle(pending, leaf, _Budget(limits or SearchLimits()).tick)
-    except _Stop:
-        return found[0]
+            return w
+        stuck[:] = (len(units), None, None, None)  # deeper than any unit
+    _, name, kind, failure = stuck
     raise CertificateError(
-        "no preimage realizes the prescribed template choices: the glued "
-        "candidate does not verify")
+        "no preimage realizes the prescribed template choices: " + (
+            f"gluing the {kind} template of {name} makes {failure}" if name
+            else "the glued candidate does not verify"))

@@ -197,5 +197,13 @@ def test_check_lemmas_under_tiny_budget_reports_unknown():
     assert "PASS" in res.stdout
 
 
+def test_malformed_graph_json_is_a_usage_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n": "5", "edges": []}')
+    res = run_cli("tlg", "compute", bad.as_posix())
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+
+
 def test_usage_error_for_missing_file():
     assert run_cli("tlg", "compute", "/no/such/file").returncode == 2

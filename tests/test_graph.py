@@ -188,6 +188,22 @@ def test_json_round_trip_with_labels():
     assert back.labels == g.labels
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": "5", "edges": []}',
+    '{"n": 3.5, "edges": []}',
+    '{"n": true, "edges": []}',
+    '{"n": 3, "edges": [[0, 1, 2]]}',
+    '{"n": 3, "edges": [["0", 1]]}',
+    '{"n": 3, "edges": [[false, 1]]}',
+    '{"n": 3, "edges": [], "labels": {"a": "x"}}',
+    '{"n": 3, "edges": [], "labels": {"0": 7}}',
+], ids=["n_string", "n_float", "n_bool", "edge_triple", "endpoint_string",
+        "endpoint_bool", "label_key", "label_value"])
+def test_parse_json_rejects_malformed(text):
+    with pytest.raises(ParseError):
+        parse_json(text)
+
+
 def test_parse_edgelist_errors():
     with pytest.raises(ParseError):
         parse_edgelist("0 1 2\n")

@@ -4,8 +4,14 @@ import random
 
 import pytest
 
-from trilin.errors import BudgetExceededError, CapacityError, StructureError
+from trilin.errors import (
+    BudgetExceededError,
+    CapacityError,
+    CertificateError,
+    StructureError,
+)
 from trilin.gadgets import (
+    GadgetBlueprint,
     attach_equal,
     attach_not,
     designate_attachments,
@@ -15,6 +21,7 @@ from trilin.gadgets import (
     make_squared_cycle,
     make_sun,
     make_wheel,
+    make_wire,
 )
 from trilin.graph import Graph, canonical_form, is_isomorphic
 from trilin.operators import triangular_line_graph, verify_certificate
@@ -24,6 +31,7 @@ from trilin.search import (
     SearchLimits,
     brute_force_preimages,
     count_labeled_preimages,
+    glue_templates,
     is_tlg_small,
     template_solve,
 )
@@ -265,3 +273,44 @@ def test_clause_gadget_pinned_patterns():
         max_results=1)
     assert len(found) == 1
     assert verify_certificate(found[0].witness)
+
+
+def test_long_wire_glues_without_recursion_limit():
+    # 401 units: the glue search keeps its branch points on its own stack
+    pins = {f"H{j}": WHEEL if j % 2 == 0 else SQUARED_CYCLE for j in range(401)}
+    bp = make_wire(400)
+    found = template_solve(bp, pin=pins, max_results=1)
+    assert len(found) == 1 and found[0].choices == pins
+    assert verify_certificate(found[0].witness)
+    assert verify_certificate(glue_templates(bp, pins))
+
+
+def test_glue_templates_names_the_unit_that_cannot_glue():
+    # two adjacent wire suns cannot both be wheels
+    with pytest.raises(CertificateError) as exc:
+        glue_templates(make_wire(1), {"H0": WHEEL, "H1": WHEEL})
+    assert "H1" in str(exc.value)
+
+
+def test_glue_templates_reports_a_glue_that_does_not_verify():
+    # an edge between two apexes lies in no triangle, so no glue of the
+    # sun's templates realizes it
+    sun = designate_attachments(make_sun(7))
+    apex = sun.roles["apex"]
+    graph = Graph(sun.graph.n, list(sun.graph.edges) + [(apex[0], apex[3])])
+    bp = GadgetBlueprint(graph, sun.kind, dict(sun.roles))
+    with pytest.raises(CertificateError, match="does not verify"):
+        glue_templates(bp, {"self": WHEEL})
+
+
+@pytest.mark.parametrize("build, pin, nodes", [
+    (lambda: make_wire(3), None, 14),
+    (lambda: make_binary_enforced_sun(16), None, 66),
+    (lambda: join_clause(make_sun(12), make_sun(12), make_sun(12)), None, 14),
+    (lambda: make_binary_enforced_sun(12), {"emb0": SQUARED_CYCLE}, 13),
+], ids=["wire3", "enforced16", "clause12", "enforced12_cycle"])
+def test_template_solve_node_counts(build, pin, nodes):
+    # the exact number of search nodes, so that pruning changes are seen
+    template_solve(build(), SearchLimits(node_budget=nodes), pin=pin)
+    with pytest.raises(BudgetExceededError):
+        template_solve(build(), SearchLimits(node_budget=nodes - 1), pin=pin)
