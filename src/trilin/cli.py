@@ -491,26 +491,20 @@ def entry() -> None:  # pragma: no cover - thin wrapper
         main(standalone_mode=False)
     except click.exceptions.Exit as exc:
         sys.exit(exc.exit_code)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(EXIT_USAGE)
     except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         sys.exit(EXIT_USAGE)
-    except ParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
-    except (OSError,) as exc:
+    except (ParseError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
     except (BudgetExceededError, CapacityError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_BUDGET)
-    except IntegrityError as exc:
+    except TrilinError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INTERNAL)
-    except (StructureError, TrilinError) as exc:
-        click.echo(f"error: {exc}", err=True)
+    except Exception as exc:  # a bug; exit 1 would read as a negative result
+        click.echo(f"error: internal error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_INTERNAL)
 
 

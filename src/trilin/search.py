@@ -4,7 +4,12 @@ template-constrained solver for sun-structured composites.
 The oracle works in "slot" space: a candidate graph is grown lazily, each
 target vertex getting assigned an unordered pair of candidate vertex slots
 (the edge that turns into it).  Fresh slots are introduced in first-use
-order, which breaks candidate relabeling symmetry.
+order, which breaks candidate relabeling symmetry.  Every edge of a
+triangular line graph lies in a triangle, so a target edge uw between placed
+vertices whose edges (x, y) and (x, z) lack the closing edge (y, z) is
+"open": only an unplaced common neighbour of u and w can still own (y, z).
+A placement that leaves an open edge with no such neighbour is pruned
+(forward checking), so a leaf is built only when no target edge is lost.
 
 The template solver never places single edges: it chooses a wheel or a
 squared cycle for each registered sun unit and glues the chosen templates
@@ -96,6 +101,28 @@ class _State:
                 return False
         return True
 
+    def closable(self, h: Graph, u: int, w: int) -> bool:
+        """Whether the target edge uw between two placed vertices is, or can
+        still be, realized.  Their edges (x, y) and (x, z) share the end x;
+        uw needs the closing edge (y, z), and `new_triangles_ok` admits as
+        its owner only a common target neighbour of u and w."""
+        y, z = sorted(set(self.assign[u]) ^ set(self.assign[w]))
+        return (y, z) in self.edge_owner or any(
+            t not in self.assign for t in h.adj[u] & h.adj[w])
+
+    def open_edges_ok(self, h: Graph, tv: int) -> bool:
+        """Forward check after placing tv: each target edge it touches among
+        placed vertices, tv's own and those it was the last possible closer
+        of, must stay `closable`."""
+        placed = [u for u in h.adj[tv] if u in self.assign]
+        for i, u in enumerate(placed):
+            if not self.closable(h, tv, u):
+                return False
+            for w in placed[i + 1:]:
+                if w in h.adj[u] and not self.closable(h, u, w):
+                    return False
+        return True
+
     def place(self, h: Graph, tv: int, a: int, b: int) -> bool:
         e = (min(a, b), max(a, b))
         if e in self.edge_owner:
@@ -106,7 +133,7 @@ class _State:
         self.slots = max(slots, a + 1, b + 1)
         self.gadj.setdefault(a, set()).add(b)
         self.gadj.setdefault(b, set()).add(a)
-        if not self.new_triangles_ok(h, a, b):
+        if not (self.new_triangles_ok(h, a, b) and self.open_edges_ok(h, tv)):
             self.unplace(tv, a, b, slots)
             return False
         return True
@@ -417,10 +444,17 @@ def sun_units(bp: GadgetBlueprint) -> list[tuple[str, SubGadget]]:
 
 
 def _check_triangle_coverage(bp: GadgetBlueprint, units) -> None:
+    """Raises StructureError unless every vertex and every triangle of the
+    blueprint lies inside some unit: the glue places only unit vertices."""
     holders: dict[int, set[int]] = {}
     for i, (_, sg) in enumerate(units):
         for v in sg.vertices:
             holders.setdefault(v, set()).add(i)
+    loose = [v for v in range(bp.graph.n) if v not in holders]
+    if loose:
+        raise StructureError(
+            f"vertex {loose[0]} not inside any registered sun unit "
+            f"({len(loose)} in all)")
     for tri in enumerate_triangles(bp.graph):
         a, b, c = (holders.get(v, set()) for v in tri)
         if not a & b & c:

@@ -207,3 +207,20 @@ def test_malformed_graph_json_is_a_usage_error(tmp_path):
 
 def test_usage_error_for_missing_file():
     assert run_cli("tlg", "compute", "/no/such/file").returncode == 2
+
+
+def test_unexpected_exception_exits_internal(k4e_file):
+    # a bug inside a command must not read as exit 1, "negative result"
+    script = (
+        "import sys\n"
+        "import trilin.cli as cli\n"
+        "def broken(g):\n"
+        "    raise RuntimeError('boom')\n"
+        "cli.triangular_line_graph = broken\n"
+        "sys.argv = ['trilin', 'tlg', 'compute', sys.argv[1]]\n"
+        "cli.entry()\n")
+    res = subprocess.run([sys.executable, "-c", script, k4e_file],
+                         capture_output=True, text=True)
+    assert res.returncode == 4
+    assert res.stderr.startswith("error:") and "boom" in res.stderr
+    assert "Traceback" not in res.stderr

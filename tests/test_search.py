@@ -10,8 +10,10 @@ from trilin.errors import (
     CertificateError,
     StructureError,
 )
+from trilin import search
 from trilin.gadgets import (
     GadgetBlueprint,
+    SubGadget,
     attach_equal,
     attach_not,
     designate_attachments,
@@ -128,6 +130,41 @@ def test_seven_sun_brute_force_two_classes():
 def test_budget_raises_cleanly():
     with pytest.raises(BudgetExceededError):
         brute_force_preimages(make_sun(7).graph, SearchLimits(node_budget=10))
+
+
+PENDANT = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])  # triangle plus a pendant
+
+
+@pytest.mark.parametrize("build, nodes", [
+    (lambda: make_sun(7).graph, 1422),
+    (lambda: make_bowtie().graph, 42),
+    (lambda: PENDANT, 22),
+], ids=["sun7", "bowtie", "pendant"])
+def test_brute_force_node_counts(build, nodes):
+    # the exact number of search nodes, so that pruning changes are seen
+    brute_force_preimages(build(), SearchLimits(node_budget=nodes))
+    with pytest.raises(BudgetExceededError):
+        brute_force_preimages(build(), SearchLimits(node_budget=nodes - 1))
+
+
+def test_open_edge_pruning_builds_only_leaves_that_verify(monkeypatch):
+    # the forward check drops only placements that cannot verify, so every
+    # leaf reached on a realizable target verifies, and a pendant edge (in
+    # no triangle) is refuted before any leaf is built
+    verdicts = []
+
+    def counting_verify(w):
+        verdicts.append(verify_certificate(w))
+        return verdicts[-1]
+
+    monkeypatch.setattr(search, "verify_certificate", counting_verify)
+    for h, classes in ((make_sun(7).graph, 2), (make_bowtie().graph, 1)):
+        verdicts.clear()
+        assert len(brute_force_preimages(h)) == classes
+        assert verdicts and all(verdicts)
+    verdicts.clear()
+    assert is_tlg_small(PENDANT) == ("NO", None)
+    assert verdicts == []
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +338,18 @@ def test_glue_templates_reports_a_glue_that_does_not_verify():
     bp = GadgetBlueprint(graph, sun.kind, dict(sun.roles))
     with pytest.raises(CertificateError, match="does not verify"):
         glue_templates(bp, {"self": WHEEL})
+
+
+def test_vertex_outside_every_unit_is_a_structure_error():
+    # vertex 14 hangs off the 7-sun S and lies in no sun unit
+    sun = make_sun(7)
+    graph = Graph(15, list(sun.graph.edges) + [(0, 14)])
+    bp = GadgetBlueprint(graph, "host", {}, {
+        "S": SubGadget(sun.kind, tuple(range(14)), dict(sun.roles))})
+    with pytest.raises(StructureError, match="vertex 14"):
+        template_solve(bp)
+    with pytest.raises(StructureError, match="vertex 14"):
+        glue_templates(bp, {"S": WHEEL})
 
 
 @pytest.mark.parametrize("build, pin, nodes", [
