@@ -21,6 +21,11 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: `bool` does not count."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
@@ -152,123 +157,7 @@ def induced_subgraph(g: Graph, vertex_set: Iterable[int]) -> tuple[Graph, tuple[
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism via color refinement + backtracking
-# ---------------------------------------------------------------------------
-
-
-def _refine_joint(graphs: list[Graph]) -> list[list[int]]:
-    """Color-refine several graphs jointly so color ids are comparable."""
-    tri = [triangle_count_per_vertex(g) for g in graphs]
-    keys = [
-        [(g.degree(v), tri[i][v]) for v in range(g.n)]
-        for i, g in enumerate(graphs)
-    ]
-
-    def compress(all_keys):
-        table = {k: i for i, k in enumerate(sorted({k for ks in all_keys for k in ks}))}
-        return [[table[k] for k in ks] for ks in all_keys]
-
-    colors = compress(keys)
-    while True:
-        new_keys = []
-        for i, g in enumerate(graphs):
-            ci = colors[i]
-            new_keys.append(
-                [(ci[v], tuple(sorted(ci[w] for w in g.adj[v]))) for v in range(g.n)]
-            )
-        new_colors = compress(new_keys)
-        if new_colors == colors:
-            return colors
-        colors = new_colors
-
-
-def _iso_backtrack(g1: Graph, g2: Graph):
-    """Yield isomorphisms g1 -> g2 as dicts. Deterministic order."""
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return
-    colors1, colors2 = _refine_joint([g1, g2])
-    if sorted(colors1) != sorted(colors2):
-        return
-    by_color2: dict[int, list[int]] = {}
-    for v in range(g2.n):
-        by_color2.setdefault(colors2[v], []).append(v)
-
-    n = g1.n
-    mapping = [-1] * n
-    used = [False] * n
-    adj1, adj2 = g1.adj, g2.adj
-
-    # Static order: most constrained first (rare colors, high degree),
-    # then prefer vertices adjacent to already ordered ones.
-    color_sizes = {c: len(vs) for c, vs in by_color2.items()}
-    remaining = set(range(n))
-    order: list[int] = []
-    placed: set[int] = set()
-    while remaining:
-        best = min(
-            remaining,
-            key=lambda v: (
-                -len(adj1[v] & placed),
-                color_sizes[colors1[v]],
-                -len(adj1[v]),
-                v,
-            ),
-        )
-        order.append(best)
-        placed.add(best)
-        remaining.discard(best)
-
-    def rec(i: int):
-        if i == n:
-            yield {v: mapping[v] for v in range(n)}
-            return
-        v = order[i]
-        for w in by_color2[colors1[v]]:
-            if used[w]:
-                continue
-            ok = True
-            for u in adj1[v]:
-                mu = mapping[u]
-                if mu >= 0 and mu not in adj2[w]:
-                    ok = False
-                    break
-            if ok:
-                # non-adjacency must also be preserved (same degrees per color
-                # make the reverse check necessary only for mapped vertices)
-                for u in range(n):
-                    mu = mapping[u]
-                    if mu >= 0 and u not in adj1[v] and mu in adj2[w]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            yield from rec(i + 1)
-            mapping[v] = -1
-            used[w] = False
-
-    yield from rec(0)
-
-
-def find_isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:
-    """A vertex bijection mapping edges to edges both ways, or None."""
-    for m in _iso_backtrack(g1, g2):
-        return m
-    return None
-
-
-def all_isomorphisms(g1: Graph, g2: Graph) -> list[dict[int, int]]:
-    """Every isomorphism g1 -> g2, in deterministic order."""
-    return list(_iso_backtrack(g1, g2))
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    return find_isomorphism(g1, g2) is not None
-
-
-# ---------------------------------------------------------------------------
-# Canonical form: minimal adjacency string over refinement-compatible orders
+# Canonical labeling and isomorphism: one individualization-refinement search
 # ---------------------------------------------------------------------------
 
 
@@ -298,71 +187,109 @@ def _refine_partition(cells: list[list[int]], adj: list[set[int]]) -> list[list[
             return cells
 
 
-def canonical_form(g: Graph, max_vertices: int = CANONICAL_FORM_VERTEX_CAP) -> bytes:
-    """Byte string equal for two graphs iff they are isomorphic.
+def _closure(start: Iterable, step) -> set:
+    """Everything reachable from `start`, where `step(x)` yields x's images."""
+    seen, todo = set(start), list(start)
+    while todo:
+        for y in step(todo.pop()):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
 
-    Individualization-refinement search for the lexicographically minimal
+
+def _canonical_labeling(g: Graph) -> tuple[bytes, list[int], list[tuple[int, ...]]]:
+    """Individualization-refinement search for the lexicographically minimal
     adjacency bit matrix over orderings compatible with color refinement.
+
+    Returns the form, the vertex order that gives it, and the automorphisms
+    found at leaves whose rows equal the best rows; these generate Aut(g).
+    A child in the orbit of a child already tried, under the automorphisms
+    found so far that fix the node's prefix pointwise, is skipped (McKay &
+    Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60 (2014)).
     """
-    if g.n > max_vertices:
-        raise CapacityError(
-            f"canonical_form limited to {max_vertices} vertices, got {g.n}"
-        )
-    n = g.n
-    if n == 0:
-        return b"G0:"
-    adj = g.adj
+    n, adj = g.n, g.adj
     tri = triangle_count_per_vertex(g)
     initial: dict[tuple, list[int]] = {}
     for v in range(n):
         initial.setdefault((len(adj[v]), tri[v]), []).append(v)
-    cells0 = [initial[k] for k in sorted(initial)]
+    # rows[i] holds order[i]'s adjacency to order[:i] as bits, first bit highest
+    best_rows: list[int] | None = None
+    best_order: list[int] = []
+    autos: list[tuple[int, ...]] = []
 
-    best_rows: list[tuple[int, ...]] | None = None
-
-    def rows_for(prefix: list[int], start: int) -> list[tuple[int, ...]]:
-        out = []
-        for i in range(start, len(prefix)):
-            v = prefix[i]
-            out.append(tuple(1 if prefix[j] in adj[v] else 0 for j in range(i)))
-        return out
-
-    def search(cells: list[list[int]], fixed: list[int], rows: list[tuple[int, ...]], lt: bool):
-        nonlocal best_rows
+    def search(cells: list[list[int]], order: list[int], rows: list[int]):
+        nonlocal best_rows, best_order
         cells = _refine_partition(cells, adj)
-        prefix = []
-        rest_index = len(cells)
-        for i, cell in enumerate(cells):
-            if len(cell) == 1:
-                prefix.append(cell[0])
-            else:
-                rest_index = i
-                break
-        new_rows = rows + rows_for(prefix, len(fixed))
-        if best_rows is not None and not lt:
-            for i in range(len(rows), len(new_rows)):
-                if new_rows[i] > best_rows[i]:
-                    return
-                if new_rows[i] < best_rows[i]:
-                    lt = True
-                    break
-        if len(prefix) == n:
-            if best_rows is None or lt:
-                best_rows = new_rows
+        order, rows = order[:], rows[:]
+        while len(order) < len(cells) and len(cells[len(order)]) == 1:
+            v = cells[len(order)][0]
+            row = 0
+            for u in order:
+                row = row << 1 | (u in adj[v])
+            order.append(v)
+            rows.append(row)
+        if best_rows is not None and rows > best_rows[:len(rows)]:
             return
-        target = cells[rest_index]
+        if len(order) == n:
+            if best_rows is None or rows < best_rows:
+                best_rows, best_order = rows, order
+            else:
+                auto = [0] * n
+                for u, v in zip(best_order, order):
+                    auto[u] = v
+                autos.append(tuple(auto))
+            return
+        i = len(order)
+        target, tried, fixing, checked = cells[i], [], [], 0
         for v in sorted(target):
-            split = (
-                cells[:rest_index]
-                + [[v], [w for w in target if w != v]]
-                + cells[rest_index + 1 :]
-            )
-            search(split, prefix, new_rows, lt)
+            fixing += [a for a in autos[checked:] if all(a[u] == u for u in order)]
+            checked = len(autos)
+            if v in _closure(tried, lambda x: (a[x] for a in fixing)):
+                continue
+            tried.append(v)
+            search(cells[:i] + [[v], [w for w in target if w != v]] + cells[i + 1:],
+                   order, rows)
 
-    search(cells0, [], [], False)
-    assert best_rows is not None
-    bits = "".join("".join(map(str, row)) for row in best_rows)
-    return f"G{n}:{bits}".encode()
+    search([initial[k] for k in sorted(initial)], [], [])
+    bits = "".join(format(row, f"0{i}b") for i, row in enumerate(best_rows) if i)
+    return f"G{n}:{bits}".encode(), best_order, autos
+
+
+def canonical_form(g: Graph) -> bytes:
+    """Byte string equal for two graphs iff they are isomorphic."""
+    if g.n > CANONICAL_FORM_VERTEX_CAP:
+        raise CapacityError(
+            f"canonical_form limited to {CANONICAL_FORM_VERTEX_CAP} vertices, got {g.n}"
+        )
+    return _canonical_labeling(g)[0]
+
+
+def find_isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:
+    """A vertex bijection mapping edges to edges both ways, or None: the two
+    canonical orders zipped together when the forms are equal."""
+    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
+        return None
+    form1, order1, _ = _canonical_labeling(g1)
+    form2, order2, _ = _canonical_labeling(g2)
+    return dict(zip(order1, order2)) if form1 == form2 else None
+
+
+def is_isomorphic(g1: Graph, g2: Graph) -> bool:
+    return find_isomorphism(g1, g2) is not None
+
+
+def all_isomorphisms(g1: Graph, g2: Graph) -> list[dict[int, int]]:
+    """Every isomorphism g1 -> g2, sorted by image tuple: one isomorphism
+    followed by each element of the group the automorphisms of g2 generate."""
+    iso = find_isomorphism(g1, g2)
+    if iso is None:
+        return []
+    gens = _canonical_labeling(g2)[2]
+    group = _closure([tuple(range(g2.n))],
+                     lambda a: (tuple(b[x] for x in a) for b in gens))
+    images = sorted(tuple(a[iso[v]] for v in range(g1.n)) for a in group)
+    return [dict(enumerate(m)) for m in images]
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +355,11 @@ def to_json(g: Graph) -> str:
 def from_json_obj(obj: dict) -> Graph:
     """The graph of a JSON object: an integer `n`, `edges` as integer
     pairs, optional `labels` from vertex numbers to strings."""
-    is_int = lambda x: isinstance(x, int) and not isinstance(x, bool)
-    if not isinstance(obj, dict) or not is_int(obj.get("n")):
+    if not isinstance(obj, dict) or not _is_int(obj.get("n")):
         raise ParseError("bad graph JSON: n must be an integer")
     edges, labels = obj.get("edges"), obj.get("labels") or {}
     if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 and all(map(is_int, e))
+            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
             for e in edges):
         raise ParseError("bad graph JSON: edges must be pairs of integers")
     if not isinstance(labels, dict) or not all(

@@ -18,6 +18,7 @@ from .graph import (
     from_json_obj,
     induced_subgraph,
     to_json_obj,
+    _is_int,
     _norm_edge,
 )
 
@@ -112,11 +113,14 @@ class PreimageWitness:
         try:
             target = from_json_obj(obj["target"])
             candidate = from_json_obj(obj["candidate"])
-            mapping = {
-                _norm_edge(int(u), int(v)): int(t) for u, v, t in obj["map"]
-            }
-        except (KeyError, TypeError, ValueError) as exc:
+            entries = obj["map"]
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"bad witness JSON: {exc}")
+        if not isinstance(entries, list) or not all(
+                isinstance(e, list) and len(e) == 3 and all(map(_is_int, e))
+                for e in entries):
+            raise ParseError("bad witness JSON: map entries must be integer triples")
+        mapping = {_norm_edge(u, v): t for u, v, t in entries}
         return PreimageWitness(target, candidate, mapping)
 
     @staticmethod

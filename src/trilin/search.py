@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError, CapacityError, CertificateError, StructureError
 from .gadgets import GadgetBlueprint, SubGadget
-from .graph import Graph, all_isomorphisms, canonical_form, enumerate_triangles
+from .graph import Graph, canonical_form, enumerate_triangles
 from .operators import PreimageWitness, verify_certificate
 
 WHEEL = "WHEEL"
@@ -224,21 +224,18 @@ def brute_force_preimages(h: Graph, limits: SearchLimits | None = None) -> list[
 
 
 def count_labeled_preimages(h: Graph, limits: SearchLimits | None = None) -> int:
-    """Certified (candidate, bijection) pairs modulo candidate relabeling."""
-    reps: dict[bytes, Graph] = {}
+    """Certified (candidate, bijection) pairs modulo candidate relabeling.
+
+    Such a pair is determined up to relabeling by the multiset of its
+    candidate vertices' stars: the target vertices on each vertex's edges.
+    """
     keys: set[tuple] = set()
     for w in _certified_witnesses(h, limits):
-        cand, edge_owner = w.candidate, w.edge_to_vertex
-        ck = canonical_form(cand)
-        rep = reps.setdefault(ck, cand)
-        best = None
-        for sigma in all_isomorphisms(cand, rep):
-            img = tuple(sorted(
-                (min(sigma[u], sigma[v]), max(sigma[u], sigma[v]), t)
-                for (u, v), t in edge_owner.items()))
-            if best is None or img < best:
-                best = img
-        keys.add((ck, best))
+        stars: list[list[int]] = [[] for _ in range(w.candidate.n)]
+        for (u, v), t in w.edge_to_vertex.items():
+            stars[u].append(t)
+            stars[v].append(t)
+        keys.add(tuple(sorted(tuple(sorted(star)) for star in stars)))
     return len(keys)
 
 

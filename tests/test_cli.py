@@ -121,6 +121,17 @@ def test_preimage_verify_round_trip(tmp_path):
     assert res.stdout.startswith("INVALID")
 
 
+def test_preimage_verify_rejects_non_integer_map(tmp_path):
+    tri = parse_json('{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}')
+    obj = json.loads(witness_of_operator(triangular_line_graph(tri)).to_json())
+    obj["map"] = [[0, 1, 0.2], [0, 2, True], ["1", "2", 2.9]]
+    wf = tmp_path / "w.json"
+    wf.write_text(json.dumps(obj))
+    res = run_cli("preimage", "verify", str(wf))
+    assert res.returncode == 2
+    assert "VALID" not in res.stdout and "Traceback" not in res.stderr
+
+
 def test_reduce_command(tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text(SINGLE)

@@ -3,9 +3,11 @@ from __future__ import annotations
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from trilin.errors import GraphConstructionError, ParseError
+from trilin.gadgets import make_sun, make_wheel
 from trilin.graph import (
     Graph,
     all_isomorphisms,
@@ -169,6 +171,64 @@ def test_canonical_form_separates_same_degree_sequence():
     two_tris = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert canonical_form(c6) != canonical_form(two_tris)
     assert not is_isomorphic(c6, two_tris)
+
+
+def relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.sorted_edges])
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+NAMED_GRAPHS = {
+    "sun7": make_sun(7).graph,
+    "sun12": make_sun(12).graph,
+    "wheel7": make_wheel(7).graph,
+    "K4": Graph(4, list(itertools.combinations(range(4), 2))),
+    "3K2": Graph(6, [(0, 1), (2, 3), (4, 5)]),
+}
+
+
+def differential_pairs(name: str) -> list[tuple[Graph, Graph]]:
+    """Pairs to compare against networkx: a graph with a relabeling of it
+    and, for the seeded random graphs, with another graph of the same order."""
+    rng = random.Random(2014)
+    if name != "random":
+        g = NAMED_GRAPHS[name]
+        return [(g, relabeled(g, rng)), (g, g)]
+    pairs = []
+    for _ in range(40):
+        n, p = rng.randint(1, 9), rng.uniform(0.2, 0.8)
+        g = random_graph(rng, n, p)
+        pairs += [(g, relabeled(g, rng)), (g, random_graph(rng, n, p))]
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["random", *NAMED_GRAPHS])
+def test_isomorphism_agrees_with_networkx(name):
+    def is_map(m, g1, g2):
+        return (sorted(m) == list(range(g1.n)) and sorted(m.values()) == list(range(g2.n))
+                and {(min(m[u], m[v]), max(m[u], m[v])) for u, v in g1.edges} == g2.edges)
+
+    for g1, g2 in differential_pairs(name):
+        matcher = nx.isomorphism.GraphMatcher(to_networkx(g1), to_networkx(g2))
+        expected = matcher.is_isomorphic()
+        assert is_isomorphic(g1, g2) == expected
+        assert (canonical_form(g1) == canonical_form(g2)) == expected
+        m = find_isomorphism(g1, g2)
+        assert (m is not None) == expected and (m is None or is_map(m, g1, g2))
+        isos = all_isomorphisms(g1, g2)
+        assert all(is_map(m, g1, g2) for m in isos)
+        assert len({tuple(sorted(m.items())) for m in isos}) == len(isos)
+        assert len(isos) == sum(1 for _ in matcher.isomorphisms_iter())
+    if name in ("sun12", "3K2"):
+        assert len(isos) == {"sun12": 24, "3K2": 48}[name]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
 
-from trilin.errors import CertificateError, StructureError
+from trilin.errors import CertificateError, ParseError, StructureError
 from trilin.gadgets import make_bowtie, make_squared_cycle, make_sun, make_wheel
 from trilin.graph import Graph, enumerate_triangles, is_isomorphic
 from trilin.operators import (
@@ -146,6 +147,26 @@ def test_witness_json_round_trip():
     back = PreimageWitness.from_json(w.to_json())
     assert verify_certificate(back)
     assert back.edge_to_vertex == w.edge_to_vertex
+
+
+@pytest.mark.parametrize("entries", [
+    [[0, 1, 0.2], [0, 2, True], ["1", "2", 2.9]],
+    [[0, 1, 0], [0, 2, 1], [1, 2, 2.0]],
+    [[0, 1, 0], [0, 2, True], [1, 2, 2]],
+    [[0, 1, 0], [0, 2, 1], ["1", 2, 2]],
+    [[0, 1, 0], [0, 2, 1], [1, 2]],
+    [[0, 1, 0], [0, 2, 1], [1, 2, 2, 3]],
+    [[0, 1, 0], [0, 2, 1], "122"],
+    {"0": [1, 0]},
+], ids=["issue_example", "float", "bool", "string", "pair", "quadruple",
+        "string_entry", "object"])
+def test_witness_json_rejects_non_integer_map(entries):
+    tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    obj = json.loads(witness_of_operator(triangular_line_graph(tri)).to_json())
+    assert PreimageWitness.from_json_obj(obj).edge_to_vertex
+    obj["map"] = entries
+    with pytest.raises(ParseError):
+        PreimageWitness.from_json(json.dumps(obj))
 
 
 # ---------------------------------------------------------------------------

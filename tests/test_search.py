@@ -51,7 +51,19 @@ def test_bowtie_has_one_class_two_labelings():
     w = found[0]
     assert verify_certificate(w)
     assert is_isomorphic(w.candidate, Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
-    assert count_labeled_preimages(bowtie) == 2
+
+
+# the edgeless counts are re-derived with networkx in perfbench/answers.py
+@pytest.mark.parametrize("target, count", [
+    (make_bowtie().graph, 2),
+    (Graph(3, []), 8),
+    (Graph(4, []), 54),
+    (Graph(5, []), 534),
+    (make_sun(7).graph, 2),
+    (make_sun(8).graph, 32),
+], ids=["bowtie", "edgeless3", "edgeless4", "edgeless5", "sun7", "sun8"])
+def test_count_labeled_preimages(target, count):
+    assert count_labeled_preimages(target) == count
 
 
 def test_triangle_preimages():
