@@ -78,7 +78,7 @@ def _load_config() -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise click.ClickException(f"bad config file {path}: {exc}")
     if not isinstance(cfg, dict):
         raise click.ClickException(f"config file {path} must hold an object")
@@ -127,8 +127,9 @@ out_option = click.option("--out", default=None, help="Write output to a file.")
 budget_options = (
     click.option("--time-budget", type=float, default=None),
     click.option("--node-budget", type=int, default=None),
-    click.option("--max-target-vertices", type=int, default=None),
 )
+# only the commands that run the brute-force oracle take its target-size cap
+_max_target_option = click.option("--max-target-vertices", type=int, default=None)
 
 
 def _with_budget_options(f):
@@ -248,6 +249,7 @@ def preimage():
 @preimage.command("solve")
 @click.argument("graph_file")
 @_with_budget_options
+@_max_target_option
 @format_option
 @out_option
 @click.pass_context
@@ -320,11 +322,10 @@ def reduce_cmd(ctx, cnf_file, fmt, out):
 @_with_budget_options
 @out_option
 @click.pass_context
-def decide_cmd(ctx, cnf_file, max_vars, time_budget, node_budget,
-               max_target_vertices, out):
+def decide_cmd(ctx, cnf_file, max_vars, time_budget, node_budget, out):
     """Decide satisfiability through the compiled graph's preimages."""
     formula = _read_formula(cnf_file)
-    lim = _limits(ctx.obj, time_budget, node_budget, max_target_vertices)
+    lim = _limits(ctx.obj, time_budget, node_budget, None)
     try:
         res = decide_formula(formula, lim, max_vars=max_vars)
     except StructureError as exc:
@@ -462,6 +463,7 @@ def _check_lemma_battery(appendix_dir, lim) -> list[tuple[str, str, str]]:
 @check.command("lemmas")
 @click.option("--appendix-dir", default=None)
 @_with_budget_options
+@_max_target_option
 @click.pass_context
 def check_lemmas(ctx, appendix_dir, time_budget, node_budget,
                  max_target_vertices):
@@ -494,7 +496,7 @@ def entry() -> None:  # pragma: no cover - thin wrapper
     except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         sys.exit(EXIT_USAGE)
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)
     except (BudgetExceededError, CapacityError) as exc:

@@ -122,21 +122,20 @@ class Assembly:
         self._labels: dict[int, str] = {}
         self._subs: dict[str, SubGadget] = {}
         self._pairs: list[tuple[int, int]] = []
-        self._part_roles: dict[str, dict[str, tuple[int, ...]]] = {}
 
     def add(self, bp: GadgetBlueprint, prefix: str) -> None:
+        """Add a copy of bp with every path and label part ("a=b") under prefix."""
         off = self._n
         g = bp.graph
         self._n += g.n
         self._edges.extend((u + off, v + off) for u, v in g.sorted_edges)
+        sep = f"={prefix}/"
         for v in range(g.n):
             base = g.labels.get(v) if g.labels else f"v{v}"
-            self._labels[v + off] = f"{prefix}/{base}" if prefix else base
+            self._labels[v + off] = f"{prefix}/{base.replace('=', sep)}" if prefix else base
         shift = lambda t: tuple(x + off for x in t)
-        self._part_roles[prefix] = {k: shift(v) for k, v in bp.roles.items()}
-        self._subs[prefix] = SubGadget(
-            bp.kind, tuple(range(off, off + g.n)), self._part_roles[prefix]
-        )
+        roles = {k: shift(v) for k, v in bp.roles.items()}
+        self._subs[prefix] = SubGadget(bp.kind, tuple(range(off, off + g.n)), roles)
         for name, sg in bp.sub_gadgets.items():
             path = f"{prefix}/{name}" if prefix else name
             self._subs[path] = SubGadget(
@@ -424,16 +423,21 @@ def attach_not(a: GadgetBlueprint, bowtie_a: str,
     return _join(a, bowtie_a, b, bowtie_b, NOT, "not_join")
 
 
+def _add_wire(asm: Assembly, prefix: str, k: int) -> None:
+    """Add the 7-suns {prefix}H0..{prefix}Hk of a wire, NOT-joined in turn."""
+    sun = designate_attachments(make_sun(7))
+    for i in range(k + 1):
+        asm.add(sun, f"{prefix}H{i}")
+        if i > 0:
+            asm.bowtie_join(f"{prefix}H{i-1}/not", f"{prefix}H{i}/root", NOT)
+
+
 def make_wire(k: int) -> GadgetBlueprint:
     """k+1 chained 7-suns H0..Hk, consecutive pairs joined by NOT gadgets."""
     if k < 0:
         raise StructureError("wire length must be >= 0")
     asm = Assembly()
-    sun = designate_attachments(make_sun(7))
-    for i in range(k + 1):
-        asm.add(sun, f"H{i}")
-        if i > 0:
-            asm.bowtie_join(f"H{i-1}/not", f"H{i}/root", NOT)
+    _add_wire(asm, "", k)
     return asm.build("wire", meta={"length": k})
 
 
@@ -453,21 +457,23 @@ def make_large_variable_gadget(i: int, j: int, k: int = 12) -> GadgetBlueprint:
                            base.sub_gadgets, meta)
 
 
+def _add_cluster(asm: Assembly, prefix: str, i: int, m: int, k: int) -> None:
+    """Add variable i's cluster (see make_variable_cluster) with every path
+    under prefix, so a formula composes its clusters in one Assembly."""
+    if m < 1:
+        raise StructureError(f"variable cluster needs m >= 1, got {m}")
+    _add_wire(asm, prefix, 2 * m)
+    for j in range(1, 2 * m + 1):
+        asm.add(make_large_variable_gadget(i, j, k), f"{prefix}V{j}")
+        asm.bowtie_join(f"{prefix}H{j}/equal", f"{prefix}V{j}/emb0/chain", EQUAL)
+
+
 def make_variable_cluster(i: int, m: int, k: int = 12) -> GadgetBlueprint:
     """Wire of 2m+1 suns with a large variable gadget (an enforced k-sun)
     EQUAL-joined to each of H_1..H_2m.  Tap j stores x_i when j is even and
     its complement when odd."""
-    if m < 1:
-        raise StructureError(f"variable cluster needs m >= 1, got {m}")
     asm = Assembly()
-    sun = designate_attachments(make_sun(7))
-    for j in range(2 * m + 1):
-        asm.add(sun, f"H{j}")
-        if j > 0:
-            asm.bowtie_join(f"H{j-1}/not", f"H{j}/root", NOT)
-    for j in range(1, 2 * m + 1):
-        asm.add(make_large_variable_gadget(i, j, k), f"V{j}")
-        asm.bowtie_join(f"H{j}/equal", f"V{j}/emb0/chain", EQUAL)
+    _add_cluster(asm, "", i, m, k)
     polarity = {j: ("pos" if j % 2 == 0 else "neg") for j in range(1, 2 * m + 1)}
     return asm.build("cluster", meta={"variable": i, "m": m, "polarity": polarity})
 

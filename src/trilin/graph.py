@@ -372,12 +372,18 @@ def from_json_obj(obj: dict) -> Graph:
         raise ParseError(str(exc))
 
 
-def parse_json(text: str) -> Graph:
+def _loads(text: str):
+    """json.loads failing only with ParseError, even past its digit or depth limit."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), exc.lineno)
-    return from_json_obj(obj)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"bad JSON: {exc}")
+
+
+def parse_json(text: str) -> Graph:
+    return from_json_obj(_loads(text))
 
 
 def to_dot(g: Graph, name: str = "G") -> str:

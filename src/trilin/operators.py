@@ -19,6 +19,7 @@ from .graph import (
     induced_subgraph,
     to_json_obj,
     _is_int,
+    _loads,
     _norm_edge,
 )
 
@@ -125,11 +126,7 @@ class PreimageWitness:
 
     @staticmethod
     def from_json(text: str) -> "PreimageWitness":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(exc), exc.lineno)
-        return PreimageWitness.from_json_obj(obj)
+        return PreimageWitness.from_json_obj(_loads(text))
 
 
 def _check_bijection(w: PreimageWitness) -> None:

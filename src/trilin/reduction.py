@@ -32,10 +32,10 @@ from .errors import (
 from .gadgets import (
     Assembly,
     GadgetBlueprint,
+    _add_cluster,
     _clause_pairs,
     make_binary_enforced_sun,
     make_squared_cycle,
-    make_variable_cluster,
     make_wheel,
 )
 from .graph import every_edge_in_unique_triangle, is_isomorphic
@@ -160,7 +160,7 @@ def compile_formula(formula: CnfFormula, enforce: int = 12) -> ReductionOutput:
     roots: dict[int, str] = {}
     for i in range(formula.variable_count):
         prefix = f"x{i + 1}"
-        asm.add(make_variable_cluster(i, m, enforce), prefix)
+        _add_cluster(asm, f"{prefix}/", i, m, enforce)
         roots[i] = f"{prefix}/H0"
     legs_by_clause: dict[int, tuple[str, str, str]] = {}
     for j, clause in enumerate(formula.clauses, start=1):

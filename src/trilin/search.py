@@ -34,7 +34,6 @@ SQUARED_CYCLE = "SQUARED_CYCLE"
 @dataclass
 class SearchLimits:
     max_target_vertices: int = 16
-    max_candidate_vertices: int | None = None  # default 2*|V(h)|, exhaustive
     time_budget: float | None = None  # seconds
     node_budget: int | None = None
 
@@ -188,7 +187,7 @@ def _certified_witnesses(h: Graph, limits: SearchLimits | None):
         raise CapacityError(
             f"target has {h.n} vertices, over the limit "
             f"{limits.max_target_vertices}")
-    slot_cap = limits.max_candidate_vertices or 2 * h.n
+    slot_cap = 2 * h.n  # |V(h)| edges touch at most 2*|V(h)| vertices
     order = _target_order(h)
     state = _State()
     budget = _Budget(limits)

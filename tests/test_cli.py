@@ -168,6 +168,16 @@ def test_decide_exit_codes(tmp_path):
     assert res.returncode == 2
 
 
+def test_max_target_vertices_only_on_oracle_commands(tmp_path):
+    # decide never runs the oracle, so it has no target-size cap
+    sat = tmp_path / "sat.cnf"
+    sat.write_text(SINGLE)
+    res = run_cli("decide", str(sat), "--max-target-vertices", "5")
+    assert res.returncode == 2 and "--max-target-vertices" in res.stderr
+    for cmd in (("preimage", "solve"), ("check", "lemmas")):
+        assert "--max-target-vertices" in run_cli(*cmd, "--help").stdout
+
+
 def test_witness_command_reports_failures(tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text(SINGLE)
@@ -214,6 +224,21 @@ def test_malformed_graph_json_is_a_usage_error(tmp_path):
     res = run_cli("tlg", "compute", bad.as_posix())
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe0 1\n", b"1" * 5000, b"[" * 100_000],
+                         ids=["not_utf8", "huge_int", "deep"])
+def test_undecodable_inputs_are_usage_errors(tmp_path, k4e_file, content):
+    # each as a graph file, a witness file and a config file: exit 2, never
+    # an internal error
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    config = dict(os.environ, TRILIN_CONFIG=bad.as_posix())
+    for args, env in ((("tlg", "compute", bad.as_posix()), None),
+                      (("preimage", "verify", bad.as_posix()), None),
+                      (("tlg", "compute", k4e_file), config)):
+        res = run_cli(*args, env=env)
+        assert res.returncode == 2 and "internal error" not in res.stderr, args
 
 
 def test_usage_error_for_missing_file():

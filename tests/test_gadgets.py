@@ -264,3 +264,13 @@ def test_assembly_identify_merges_labels():
     assert bp.graph.n == 9
     merged = [lab for lab in bp.graph.labels.values() if "=" in lab]
     assert len(merged) == 1 and merged[0].startswith("p/") and "q/" in merged[0]
+
+
+def test_assembly_prefixes_every_part_of_merged_labels():
+    # a composite re-added under a prefix keeps its merged labels' parts
+    # addressable: each part of "H0/c4=H1/c0" gets the prefix
+    asm = Assembly()
+    asm.add(make_wire(1), "w")
+    labels = asm.build("wrapped").graph.labels.values()
+    assert any("=" in lab for lab in labels)
+    assert all(p.startswith("w/") for lab in labels for p in lab.split("="))

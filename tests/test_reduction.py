@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from trilin.errors import (
     StructureError,
     UnsatisfyingAssignmentError,
 )
+from trilin.gadgets import Assembly
 from trilin.graph import every_edge_in_unique_triangle
 from trilin.operators import verify_certificate
 from trilin.reduction import (
@@ -101,6 +103,28 @@ def test_compile_is_deterministic():
     a = compile_formula(parse_dimacs(SINGLE)).blueprint.to_json()
     b = compile_formula(parse_dimacs(SINGLE)).blueprint.to_json()
     assert a == b
+
+
+def test_compiled_labels_carry_full_paths():
+    # merged vertices join the labels of all their parts with "=", and each
+    # part keeps its variable's prefix
+    r = compile_formula(parse_dimacs("p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n"))
+    labels = r.blueprint.graph.labels.values()
+    assert any("=" in lab for lab in labels)
+    for lab in labels:
+        assert all(re.match(r"x[123]/[HV]\d+/", p) for p in lab.split("=")), lab
+
+
+def test_compile_builds_one_assembly(monkeypatch):
+    # the clusters go into the formula's Assembly directly: no variable
+    # cluster is built as a blueprint and added again
+    calls = []
+    build = Assembly.build
+    monkeypatch.setattr(Assembly, "build",
+                        lambda self, *a, **kw: calls.append(1) or build(self, *a, **kw))
+    r = compile_formula(parse_dimacs("p cnf 4 2\n1 2 3 0\n-2 3 -4 0\n"))
+    assert len(calls) == 1
+    assert not any(re.fullmatch(r"x\d+", name) for name in r.blueprint.sub_gadgets)
 
 
 def test_compile_rejects_empty_formula():
