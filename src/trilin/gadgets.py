@@ -113,14 +113,16 @@ class Assembly:
     """Incrementally builds a composite blueprint.
 
     Parts are added with a path prefix; identifications are collected in
-    union-id space and applied once at build time.
+    union-id space and applied once at build time.  Each part's sub-gadgets
+    are kept in part coordinates with the part's offset, and translated once,
+    by `build` (or on lookup, by `sub`).
     """
 
     def __init__(self):
         self._n = 0
         self._edges: list[tuple[int, int]] = []
-        self._labels: dict[int, str] = {}
-        self._subs: dict[str, SubGadget] = {}
+        self._labels: list[str] = []
+        self._subs: dict[str, tuple[int, SubGadget]] = {}
         self._pairs: list[tuple[int, int]] = []
 
     def add(self, bp: GadgetBlueprint, prefix: str) -> None:
@@ -128,25 +130,22 @@ class Assembly:
         off = self._n
         g = bp.graph
         self._n += g.n
-        self._edges.extend((u + off, v + off) for u, v in g.sorted_edges)
+        self._edges.extend((u + off, v + off) for u, v in g.edges)
         sep = f"={prefix}/"
         for v in range(g.n):
             base = g.labels.get(v) if g.labels else f"v{v}"
-            self._labels[v + off] = f"{prefix}/{base.replace('=', sep)}" if prefix else base
-        shift = lambda t: tuple(x + off for x in t)
-        roles = {k: shift(v) for k, v in bp.roles.items()}
-        self._subs[prefix] = SubGadget(bp.kind, tuple(range(off, off + g.n)), roles)
+            self._labels.append(f"{prefix}/{base.replace('=', sep)}" if prefix else base)
+        self._subs[prefix] = (off, SubGadget(bp.kind, tuple(range(g.n)), bp.roles))
         for name, sg in bp.sub_gadgets.items():
-            path = f"{prefix}/{name}" if prefix else name
-            self._subs[path] = SubGadget(
-                sg.kind, shift(sg.vertices), {k: shift(v) for k, v in sg.roles.items()}
-            )
+            self._subs[f"{prefix}/{name}" if prefix else name] = (off, sg)
 
     def sub(self, path: str) -> SubGadget:
         try:
-            return self._subs[path]
+            off, sg = self._subs[path]
         except KeyError:
             raise StructureError(f"no sub-gadget named {path!r}")
+        shift = lambda t: tuple(x + off for x in t)
+        return SubGadget(sg.kind, shift(sg.vertices), {k: shift(v) for k, v in sg.roles.items()})
 
     def identify(self, u: int, v: int) -> None:
         self._pairs.append((u, v))
@@ -191,31 +190,32 @@ class Assembly:
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[max(ru, rv)] = min(ru, rv)
-        reps = sorted({find(v) for v in range(self._n)})
-        new_id = {r: i for i, r in enumerate(reps)}
-        vmap = [new_id[find(v)] for v in range(self._n)]
-
-        groups: dict[int, list[int]] = {}
+        # every class is rooted at its least member, so new ids follow the roots
+        vmap: list[int] = []
+        labels: dict[int, str] = {}
         for v in range(self._n):
-            groups.setdefault(vmap[v], []).append(v)
-        labels = {}
-        for nid, olds in groups.items():
-            parts = sorted({p for o in olds for p in self._labels[o].split("=")})
-            labels[nid] = "=".join(parts)
+            r = find(v)
+            if r == v:
+                vmap.append(len(labels))
+                labels[len(labels)] = self._labels[v]
+            else:
+                vmap.append(vmap[r])
+        # a label changes only on a merged vertex or when it has several parts
+        merged = {x for pair in self._pairs for x in pair}
+        parts: dict[int, set[str]] = {}
+        for v, label in enumerate(self._labels):
+            if v in merged or "=" in label:
+                parts.setdefault(vmap[v], set()).update(label.split("="))
+        for nid, ps in parts.items():
+            labels[nid] = "=".join(sorted(ps))
 
-        edges = {(min(vmap[u], vmap[v]), max(vmap[u], vmap[v])) for u, v in self._edges}
-        graph = Graph(len(reps), edges, labels)
-
-        tr = lambda t: tuple(vmap[x] for x in t)
-        subs = {
-            name: SubGadget(
-                sg.kind,
-                tuple(sorted({vmap[x] for x in sg.vertices})),
-                {k: tr(v) for k, v in sg.roles.items()},
-            )
-            for name, sg in self._subs.items()
-        }
-        out_roles = {k: tr(v) for k, v in (roles or {}).items()}
+        graph = Graph(len(labels), [(vmap[u], vmap[v]) for u, v in self._edges], labels)
+        subs = {}
+        for name, (off, sg) in self._subs.items():
+            tr = lambda t: tuple(vmap[x + off] for x in t)
+            subs[name] = SubGadget(sg.kind, tuple(sorted(set(tr(sg.vertices)))),
+                                   {k: tr(v) for k, v in sg.roles.items()})
+        out_roles = {k: tuple(vmap[x] for x in v) for k, v in (roles or {}).items()}
         return GadgetBlueprint(graph, kind, out_roles, subs, meta or {})
 
 
@@ -463,8 +463,9 @@ def _add_cluster(asm: Assembly, prefix: str, i: int, m: int, k: int) -> None:
     if m < 1:
         raise StructureError(f"variable cluster needs m >= 1, got {m}")
     _add_wire(asm, prefix, 2 * m)
+    tap = make_large_variable_gadget(i, 1, k)  # add copies no meta: one serves every tap
     for j in range(1, 2 * m + 1):
-        asm.add(make_large_variable_gadget(i, j, k), f"{prefix}V{j}")
+        asm.add(tap, f"{prefix}V{j}")
         asm.bowtie_join(f"{prefix}H{j}/equal", f"{prefix}V{j}/emb0/chain", EQUAL)
 
 

@@ -47,7 +47,7 @@ class Graph:
                 raise GraphConstructionError(
                     f"edge ({u},{v}) out of range for {n} vertices"
                 )
-            norm.add(_norm_edge(u, v))
+            norm.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = frozenset(norm)
         if labels:

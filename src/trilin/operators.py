@@ -15,6 +15,7 @@ from .errors import CertificateError, ParseError, StructureError
 from .graph import (
     Edge,
     Graph,
+    enumerate_triangles,
     from_json_obj,
     induced_subgraph,
     to_json_obj,
@@ -37,26 +38,21 @@ def _edge_vertex_order(g: Graph) -> dict[Edge, int]:
     return {e: i for i, e in enumerate(g.sorted_edges)}
 
 
+def _triangle_pairs(g: Graph, index: dict[Edge, int]) -> list[tuple[int, int]]:
+    """The T-edges of g with each edge e of g named index[e]: every triangle
+    u < v < w makes its three edges pairwise adjacent.  Two edges sharing an
+    endpoint lie in at most one common triangle, so no pair repeats."""
+    pairs = []
+    for u, v, w in enumerate_triangles(g):
+        a, b, c = index[(u, v)], index[(u, w)], index[(v, w)]
+        pairs += ((a, b), (a, c), (b, c))
+    return pairs
+
+
 def triangular_line_graph(g: Graph) -> TlgResult:
     """T(G): edges sharing an endpoint and a common triangle become adjacent."""
     e2v = _edge_vertex_order(g)
-    adj = g.adj
-    derived_edges = []
-    for e1, i in e2v.items():
-        u, v = e1
-        for x, y in ((u, v), (v, u)):
-            for w in adj[x]:
-                if w == y:
-                    continue
-                e2 = _norm_edge(x, w)
-                j = e2v[e2]
-                if j <= i:
-                    continue
-                # shared endpoint x; triangle needs the closing edge (y, w)
-                if w in adj[y]:
-                    derived_edges.append((i, j))
-    derived = Graph(len(e2v), derived_edges)
-    return TlgResult(g, derived, e2v)
+    return TlgResult(g, Graph(len(e2v), _triangle_pairs(g, e2v)), e2v)
 
 
 def line_graph(g: Graph) -> TlgResult:
@@ -149,14 +145,7 @@ def verify_certificate(w: PreimageWitness) -> bool:
     E(candidate) -> V(target).
     """
     _check_bijection(w)
-    t = triangular_line_graph(w.candidate)
-    mapped = frozenset(
-        _norm_edge(
-            w.edge_to_vertex[w.candidate.sorted_edges[i]],
-            w.edge_to_vertex[w.candidate.sorted_edges[j]],
-        )
-        for i, j in t.derived.edges
-    )
+    mapped = {_norm_edge(a, b) for a, b in _triangle_pairs(w.candidate, w.edge_to_vertex)}
     return mapped == w.target.edges
 
 

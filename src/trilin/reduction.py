@@ -219,16 +219,17 @@ def witness_from_assignment(r: ReductionOutput, assignment: tuple[bool, ...],
         raise UnsatisfyingAssignmentError(bad)
     m = len(r.formula.clauses)
     k = r.enforce
-    pins: dict[str, str] = {}
-    for i, value in enumerate(assignment):
-        pins.update(_cluster_pins(i, bool(value), m, k))
-    needy = sorted(name for name, kind in pins.items()
-                   if name.endswith(f"/sun{k}") and kind == SQUARED_CYCLE)
+    # the taps _cluster_pins makes squared cycles
+    needy = sorted(f"x{i + 1}/V{j}/sun{k}" for i, value in enumerate(assignment)
+                   for j in range(1, 2 * m + 1) if bool(value) == (j % 2 == 0))
     if needy and not _cycle_tap_feasible(k):
         raise CertificateError(
             "no preimage realizes the prescribed choices: the enforced "
             f"{k}-sun has no squared-cycle-side preimage, required at "
             f"{needy[0]} (and {len(needy) - 1} more)")
+    pins: dict[str, str] = {}
+    for i, value in enumerate(assignment):
+        pins.update(_cluster_pins(i, bool(value), m, k))
     return glue_templates(r.blueprint, pins, limits)
 
 

@@ -62,6 +62,14 @@ def test_graph_rejects_bad_edges():
     assert len(Graph(3, [(0, 1), (1, 0)]).edges) == 1
 
 
+def test_graph_bad_edge_messages():
+    with pytest.raises(GraphConstructionError,
+                       match=r"^edge \(0,2\) out of range for 2 vertices$"):
+        Graph(2, [(0, 2)])
+    with pytest.raises(GraphConstructionError, match=r"^loop at vertex 0$"):
+        Graph(2, [(0, 0)])
+
+
 def test_graph_equality_is_labeled():
     a = Graph(3, [(0, 1)])
     b = Graph(3, [(1, 0)])

@@ -29,6 +29,17 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph(n, edges)
 
 
+def dense_graph(rng: random.Random, n: int) -> Graph:
+    """Random sparse edges plus planted K4 / K5 pieces, so that many edges
+    lie in several triangles."""
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < 0.2}
+    for _ in range(rng.randint(1, 3)):
+        piece = sorted(rng.sample(range(n), min(n, rng.choice((4, 5)))))
+        edges.update(itertools.combinations(piece, 2))
+    return Graph(n, edges)
+
+
 def naive_tlg(g: Graph) -> Graph:
     """Independent construction straight from the definition: vertices are
     edges, adjacency needs a shared endpoint plus the closing third edge."""
@@ -74,6 +85,13 @@ def test_tlg_matches_naive_on_random_graphs():
         g = random_graph(rng, rng.randint(0, 8))
         got = triangular_line_graph(g).derived
         assert got == naive_tlg(g)
+
+
+def test_tlg_matches_naive_on_dense_graphs():
+    rng = random.Random(29)
+    for _ in range(60):
+        g = dense_graph(rng, rng.randint(4, 12))
+        assert triangular_line_graph(g).derived == naive_tlg(g)
 
 
 def test_wheel_and_squared_cycle_map_to_sun():
@@ -139,6 +157,33 @@ def test_witness_rejects_non_bijection():
     bad[(0, 1)] = bad[(0, 2)]
     with pytest.raises(CertificateError):
         verify_certificate(PreimageWitness(w.target, w.candidate, bad))
+
+
+def naive_verdict(w: PreimageWitness) -> bool:
+    """T(candidate) from the definition, mapped through the witness."""
+    edges = w.candidate.sorted_edges
+    mapped = {tuple(sorted((w.edge_to_vertex[edges[i]], w.edge_to_vertex[edges[j]])))
+              for i, j in naive_tlg(w.candidate).edges}
+    return mapped == w.target.edges
+
+
+def test_verifier_agrees_with_naive_tlg_on_dense_graphs():
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(60):
+        g = dense_graph(rng, rng.randint(4, 12))
+        w = witness_of_operator(triangular_line_graph(g))
+        assert verify_certificate(w) and naive_verdict(w)
+        items = sorted(w.edge_to_vertex.items())
+        for _ in range(8):
+            (e1, v1), (e2, v2) = rng.sample(items, 2)
+            swapped = dict(w.edge_to_vertex)
+            swapped[e1], swapped[e2] = v2, v1
+            sw = PreimageWitness(w.target, w.candidate, swapped)
+            verdict = verify_certificate(sw)
+            assert verdict == naive_verdict(sw)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_witness_json_round_trip():

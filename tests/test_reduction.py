@@ -127,6 +127,18 @@ def test_compile_builds_one_assembly(monkeypatch):
     assert not any(re.fullmatch(r"x\d+", name) for name in r.blueprint.sub_gadgets)
 
 
+def test_compile_builds_one_enforced_sun_per_variable(monkeypatch):
+    # every tap of a cluster adds the same large variable gadget
+    import trilin.gadgets as gadgets
+
+    calls = []
+    make = gadgets.make_binary_enforced_sun
+    monkeypatch.setattr(gadgets, "make_binary_enforced_sun",
+                        lambda k: calls.append(k) or make(k))
+    compile_formula(parse_dimacs("p cnf 4 2\n1 2 3 0\n-2 3 -4 0\n"))
+    assert calls == [12] * 4
+
+
 def test_compile_rejects_empty_formula():
     with pytest.raises(StructureError):
         compile_formula(CnfFormula(3, ()))
@@ -161,6 +173,19 @@ def test_witness_reports_missing_cycle_preimage():
     with pytest.raises(CertificateError) as exc:
         witness_from_assignment(r, (True, False, False))
     assert "sun12" in str(exc.value)
+
+
+def test_witness_names_the_first_cycle_tap_by_path():
+    # the squared-cycle taps in sorted path order: x1/V10 precedes x1/V2
+    prefix = ("no preimage realizes the prescribed choices: the enforced "
+              "12-sun has no squared-cycle-side preimage, required at ")
+    for text, rest in ((SINGLE, "x1/V2/sun12 (and 2 more)"),
+                       ("p cnf 3 5\n" + "1 2 3 0\n" * 5,
+                        "x1/V10/sun12 (and 14 more)")):
+        r = compile_formula(parse_dimacs(text))
+        with pytest.raises(CertificateError) as exc:
+            witness_from_assignment(r, (True, False, False))
+        assert str(exc.value) == prefix + rest
 
 
 def test_witness_at_sound_size_round_trips():
