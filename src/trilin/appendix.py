@@ -101,6 +101,6 @@ def build_clause_preimage(wheels: tuple[bool, bool, bool]) -> PreimageWitness:
     """
     bp = join_clause(make_sun(12), make_sun(12), make_sun(12))
     glue = Glue(bp.graph)
-    for (_, parts, tris), wheel in zip(unit_parts(sun_units(bp)), wheels):
-        glue.add(parts[WHEEL if wheel else SQUARED_CYCLE], tris)
+    for (_, parts), wheel in zip(unit_parts(sun_units(bp)), wheels):
+        glue.add(*parts[WHEEL if wheel else SQUARED_CYCLE])
     return glue.witness()

@@ -131,9 +131,9 @@ class Assembly:
         g = bp.graph
         self._n += g.n
         self._edges.extend((u + off, v + off) for u, v in g.edges)
-        sep = f"={prefix}/"
+        sep, labels = f"={prefix}/", g.labels or {}
         for v in range(g.n):
-            base = g.labels.get(v) if g.labels else f"v{v}"
+            base = labels[v] if v in labels else f"v{v}"
             self._labels.append(f"{prefix}/{base.replace('=', sep)}" if prefix else base)
         self._subs[prefix] = (off, SubGadget(bp.kind, tuple(range(g.n)), bp.roles))
         for name, sg in bp.sub_gadgets.items():
@@ -176,8 +176,7 @@ class Assembly:
         self.identify(ca2, ab2)
         self.identify(aa2, cb2)
 
-    def build(self, kind: str, roles: dict[str, tuple[int, ...]] | None = None,
-              meta: dict | None = None) -> GadgetBlueprint:
+    def build(self, kind: str, meta: dict | None = None) -> GadgetBlueprint:
         parent = list(range(self._n))
 
         def find(x: int) -> int:
@@ -215,8 +214,7 @@ class Assembly:
             tr = lambda t: tuple(vmap[x + off] for x in t)
             subs[name] = SubGadget(sg.kind, tuple(sorted(set(tr(sg.vertices)))),
                                    {k: tr(v) for k, v in sg.roles.items()})
-        out_roles = {k: tuple(vmap[x] for x in v) for k, v in (roles or {}).items()}
-        return GadgetBlueprint(graph, kind, out_roles, subs, meta or {})
+        return GadgetBlueprint(graph, kind, {}, subs, meta or {})
 
 
 # ---------------------------------------------------------------------------

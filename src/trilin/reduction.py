@@ -213,7 +213,9 @@ def witness_from_assignment(r: ReductionOutput, assignment: tuple[bool, ...],
 
     Raises UnsatisfyingAssignmentError when a clause is false, and
     CertificateError when the prescribed template choices admit no actual
-    preimage (which at tap size 12 affects every squared-cycle tap)."""
+    preimage (which at tap size 12 affects every squared-cycle tap).
+    `limits` passes to `glue_templates`, which also takes a running
+    budget."""
     bad = violated_clause(r.formula, assignment)
     if bad is not None:
         raise UnsatisfyingAssignmentError(bad)
@@ -278,7 +280,8 @@ def decide(formula: CnfFormula, limits: SearchLimits | None = None,
     """Exponential desk-scale decision: enumerate assignments in
     lexicographic order, keep the first whose prescribed preimage actually
     materializes and verifies.  UNSAT only after the whole space is
-    exhausted; budget exhaustion reports UNKNOWN.  `enforce` is the tap
+    exhausted.  `limits` bounds the whole decision, every glue included;
+    budget exhaustion reports UNKNOWN.  `enforce` is the tap
     size of the compiled graph; only 16 is known to give the truth table's
     answers (see compile_formula for the measured sizes)."""
     n = formula.variable_count
@@ -287,15 +290,15 @@ def decide(formula: CnfFormula, limits: SearchLimits | None = None,
             f"refusing {n}-variable formula (guard {max_vars}); "
             "the decision procedure is exponential")
     r = compile_formula(formula, enforce)
-    budget = _Budget(limits) if limits else None
+    # one budget for the whole decision: each glue keeps ticking it
+    budget = _Budget(limits or SearchLimits())
     try:
         for bits in itertools.product((False, True), repeat=n):
-            if budget is not None:
-                budget.tick()
+            budget.tick()
             if violated_clause(formula, bits) is not None:
                 continue
             try:
-                w = witness_from_assignment(r, bits, limits)
+                w = witness_from_assignment(r, bits, budget)
             except CertificateError:
                 continue
             return DecisionResult("SAT", bits, w)

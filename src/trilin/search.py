@@ -213,8 +213,8 @@ def _certified_witnesses(h: Graph, limits: SearchLimits | None):
 def brute_force_preimages(h: Graph, limits: SearchLimits | None = None) -> list[PreimageWitness]:
     """All preimage isomorphism classes of h, one verifying witness each.
 
-    Complete within the candidate-vertex bound (default 2|V(h)|, which no
-    preimage can exceed).  Empty list means h has no preimage at all.
+    Complete within the candidate-vertex bound 2|V(h)|, which no preimage
+    can exceed.  Empty list means h has no preimage at all.
     """
     seen: dict[bytes, PreimageWitness] = {}
     for w in _certified_witnesses(h, limits):
@@ -240,14 +240,12 @@ def count_labeled_preimages(h: Graph, limits: SearchLimits | None = None) -> int
 
 def is_tlg_small(h: Graph, limits: SearchLimits | None = None):
     """Three-valued recognition: ('YES', witness) / ('NO', None) /
-    ('UNKNOWN', reason)."""
+    ('UNKNOWN', reason).  Stops at the first verified witness."""
     try:
-        found = brute_force_preimages(h, limits)
+        w = next(_certified_witnesses(h, limits), None)
     except BudgetExceededError as exc:
         return ("UNKNOWN", str(exc))
-    if found:
-        return ("YES", found[0])
-    return ("NO", None)
+    return ("NO", None) if w is None else ("YES", w)
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +348,11 @@ class Glue:
         self._drop(self.nbr, rb)
         return failure
 
-    def add(self, edges: dict, triangles) -> tuple[str | None, list]:
+    def add(self, edges: dict, corners: list) -> tuple[str | None, list]:
         """Add a part: `edges` maps target vertices to pairs of atoms not
-        seen before, `triangles` lists the part's triangles as target-vertex
-        triples.  Returns the first failure, and the part's (t, atom pair)
-        copies of target vertices placed before, for `ways`."""
+        seen before, `corners` lists the part's triangles as (key, {t: atom
+        opposite t}) pairs.  Returns the first failure, and the part's
+        (t, atom pair) copies of target vertices placed before, for `ways`."""
         for t, (a, b) in edges.items():
             for x in (a, b):
                 if x not in self.parent:
@@ -364,18 +362,13 @@ class Glue:
             self._set(self.nbr[a], b, t)
             self._set(self.nbr[b], a, t)
         failure = None
-        for tri in triangles:
-            mine = {t: (set(edges[u]) & set(edges[v])).pop()
-                    for t, u, v in ((tri[0], tri[1], tri[2]),
-                                    (tri[1], tri[0], tri[2]),
-                                    (tri[2], tri[0], tri[1]))}
-            key = frozenset(tri)
+        for key, mine in corners:
             old = self.corners.get(key)
             if old is None:
                 self._set(self.corners, key, mine)
                 continue
-            for t in tri:
-                failure = self.union(mine[t], old[t]) or failure
+            for t, x in mine.items():
+                failure = self.union(x, old[t]) or failure
         pending = []
         for t, pair in edges.items():
             if t in self.edge:
@@ -439,9 +432,43 @@ def sun_units(bp: GadgetBlueprint) -> list[tuple[str, SubGadget]]:
     return units
 
 
-def _check_triangle_coverage(bp: GadgetBlueprint, units) -> None:
-    """Raises StructureError unless every vertex and every triangle of the
-    blueprint lies inside some unit: the glue places only unit vertices."""
+def unit_parts(units):
+    """Yields (name, parts) per unit: `parts` maps each kind to the unit's
+    template as a Glue part, its (edges, corners).  A wheel (rim 0..k-1,
+    hub k) maps cycle vertex p to the spoke (p, k) and apex p to the rim
+    edge (p, p+1); a squared cycle (0..k-1) maps them to (p, p+1) and the
+    chord (p, p+2).  The unit's triangle p = (c_p, a_p, c_p+1) then has the
+    atoms (p+1, hub, p) opposite its vertices in the wheel and (p+2, p+1, p)
+    in the squared cycle.  Template vertices become atoms by adding an
+    offset that grows by k + 1 per unit, so no two units share an atom."""
+    offset = 0
+    for name, sg in units:
+        cycle, apex = sg.roles["cycle"], sg.roles["apex"]
+        k = len(cycle)
+        x0 = list(range(offset, offset + k))  # atom p, then p+1 and p+2 mod k
+        x1, x2, hub = x0[1:] + x0[:1], x0[2:] + x0[:2], offset + k
+        wheel, squared, wheel_corners, squared_corners = {}, {}, [], []
+        for c, a, c1, p, p1, p2 in zip(cycle, apex, cycle[1:] + cycle[:1], x0, x1, x2):
+            wheel[c], wheel[a] = (p, hub), (p, p1)
+            squared[c], squared[a] = (p, p1), (p, p2)
+            key = frozenset((c, a, c1))
+            wheel_corners.append((key, {c: p1, a: hub, c1: p}))
+            squared_corners.append((key, {c: p2, a: p1, c1: p}))
+        yield name, {WHEEL: (wheel, wheel_corners),
+                     SQUARED_CYCLE: (squared, squared_corners)}
+        offset += k + 1
+
+
+def _plan(bp: GadgetBlueprint, units, pin: dict[str, str]) -> list:
+    """The glue search's plan: (name, parts, kinds to try) per unit, in a
+    greedy fail-first order, from one map of each vertex to its units.
+
+    Raises StructureError unless every vertex and every triangle of the
+    blueprint lies inside some unit: the glue places only unit vertices.
+    The order takes the least name first, then always the unit sharing the
+    most vertices with the units already taken, ties broken by name.  A
+    unit's overlap count is pushed onto a heap each time it rises; its
+    highest entry pops first, so the entries left behind are skipped."""
     holders: dict[int, set[int]] = {}
     for i, (_, sg) in enumerate(units):
         for v in sg.vertices:
@@ -452,81 +479,44 @@ def _check_triangle_coverage(bp: GadgetBlueprint, units) -> None:
             f"vertex {loose[0]} not inside any registered sun unit "
             f"({len(loose)} in all)")
     for tri in enumerate_triangles(bp.graph):
-        a, b, c = (holders.get(v, set()) for v in tri)
+        a, b, c = (holders[v] for v in tri)
         if not a & b & c:
             raise StructureError(
                 f"triangle {tri} not inside any registered sun unit")
-
-
-def _order_units(units):
-    """Greedy fail-first order: the least name first, then always the unit
-    sharing the most vertices with the units already taken, ties broken by
-    name.  A unit's overlap count is pushed onto a heap each time it rises;
-    its highest entry pops first, so the entries left behind are skipped."""
-    by_name = dict(units)
-    holders: dict[int, list[str]] = {}
-    for name, sg in units:
-        for v in set(sg.vertices):
-            holders.setdefault(v, []).append(name)
-    overlap = dict.fromkeys(by_name, 0)
-    heap = [(0, name) for name in sorted(by_name)]
+    overlap = dict.fromkeys(range(len(units)), 0)
+    heap = [(0, name, i) for i, (name, _) in enumerate(units)]
+    heapq.heapify(heap)
     order = []
     while heap:
-        name = heapq.heappop(heap)[1]
-        if overlap.pop(name, None) is None:
+        i = heapq.heappop(heap)[2]
+        if overlap.pop(i, None) is None:
             continue
-        order.append((name, by_name[name]))
-        for v in by_name[name].vertices:
-            for other in holders.pop(v, ()):  # v counts once, when first taken
-                if other in overlap:
-                    overlap[other] += 1
-                    heapq.heappush(heap, (-overlap[other], other))
-    return order
+        order.append(units[i])
+        for v in units[i][1].vertices:
+            for j in holders.pop(v, ()):  # v counts once, when first taken
+                if j in overlap:
+                    overlap[j] += 1
+                    heapq.heappush(heap, (-overlap[j], units[j][0], j))
+    return [(name, parts, (pin[name],) if name in pin else (WHEEL, SQUARED_CYCLE))
+            for name, parts in unit_parts(order)]
 
 
-def unit_parts(units):
-    """Yields (name, parts, triangles) per unit: `parts` maps each kind to
-    the unit's template as a Glue part, `triangles` lists the unit's k
-    triangles (c_p, a_p, c_p+1) as target-vertex triples.  A wheel (rim
-    0..k-1, hub k) maps cycle vertex p to the spoke (p, k) and apex p to
-    the rim edge (p, p+1); a squared cycle (0..k-1) maps them to (p, p+1)
-    and the chord (p, p+2).  Template vertices become atoms by adding an
-    offset that grows by k + 1 per unit, so no two units share an atom."""
-    offset = 0
-    for name, sg in units:
-        cycle, apex = sg.roles["cycle"], sg.roles["apex"]
-        k = len(cycle)
-        atom = lambda p: offset + p % k
-        wheel, squared = {}, {}
-        for p in range(k):
-            wheel[cycle[p]] = (atom(p), offset + k)
-            wheel[apex[p]] = (atom(p), atom(p + 1))
-            squared[cycle[p]] = (atom(p), atom(p + 1))
-            squared[apex[p]] = (atom(p), atom(p + 2))
-        tris = [(cycle[p], apex[p], cycle[(p + 1) % k]) for p in range(k)]
-        yield name, {WHEEL: wheel, SQUARED_CYCLE: squared}, tris
-        offset += k + 1
-
-
-def _glue_search(bp: GadgetBlueprint, units, pin: dict[str, str],
-                 limits: SearchLimits | None, stuck: list):
-    """Depth-first search over each unit's kind (`pin` fixes some), in
-    `_order_units` order, and over each way to settle the unit's copies of
-    target vertices placed before (`Glue.ways`).  Yields (choices, glue)
-    whenever every unit is glued without a failure; the glue holds that
-    candidate until the search resumes.  Branch points live on an explicit
-    stack, so there is no recursion-depth limit.  `stuck` ends as (unit
-    index, name, kind, failure) of the deepest failed glue."""
-    _check_triangle_coverage(bp, units)
-    plans = [(name, parts, tris,
-              (pin[name],) if name in pin else (WHEEL, SQUARED_CYCLE))
-             for name, parts, tris in unit_parts(_order_units(units))]
-    tick = _Budget(limits or SearchLimits()).tick
-    glue = Glue(bp.graph)
+def _glue_search(target: Graph, plan: list, limits, stuck: list):
+    """Depth-first search over each unit's kind, in `_plan` order, and over
+    each way to settle the unit's copies of target vertices placed before
+    (`Glue.ways`).  Yields (choices, glue) whenever every unit is glued
+    without a failure; the glue holds that candidate until the search
+    resumes.  Branch points live on an explicit stack, so there is no
+    recursion-depth limit.  `limits` is SearchLimits, None, or a running
+    `_Budget` to keep ticking.  `stuck` ends as (unit index, name, kind,
+    failure) of the deepest failed glue."""
+    tick = (limits if isinstance(limits, _Budget)
+            else _Budget(limits or SearchLimits())).tick
+    glue = Glue(target)
     choices: dict[str, str] = {}
     # a frame: (mark, unit, its pending copies or None while its kind is
     # open, the copy being settled, the untried alternatives)
-    stack = [(glue.mark(), 0, None, 0, iter(plans[0][3]))]
+    stack = [(glue.mark(), 0, None, 0, iter(plan[0][2]))]
     while stack:
         mark, i, pending, j, alts = stack[-1]
         glue.rollback(mark)
@@ -535,10 +525,10 @@ def _glue_search(bp: GadgetBlueprint, units, pin: dict[str, str],
             stack.pop()
             continue
         tick()
-        name, parts, tris, _ = plans[i]
+        name, parts, _ = plan[i]
         if pending is None:
             choices[name] = alt
-            failure, pending = glue.add(parts[alt], tris)
+            failure, pending = glue.add(*parts[alt])
         else:
             failure = glue.union(*alt[0]) or glue.union(*alt[1])
             j += 1
@@ -550,8 +540,8 @@ def _glue_search(bp: GadgetBlueprint, units, pin: dict[str, str],
             j += 1
         if j < len(pending):
             stack.append((glue.mark(), i, pending, j, iter(ways)))
-        elif i + 1 < len(plans):
-            stack.append((glue.mark(), i + 1, None, 0, iter(plans[i + 1][3])))
+        elif i + 1 < len(plan):
+            stack.append((glue.mark(), i + 1, None, 0, iter(plan[i + 1][2])))
         else:
             yield choices, glue
 
@@ -574,8 +564,9 @@ def template_solve(bp: GadgetBlueprint,
     unknown = set(pin) - {name for name, _ in units}
     if unknown:
         raise StructureError(f"pinned units not registered: {sorted(unknown)}")
+    plan = _plan(bp, units, pin)
     results: dict[tuple, TemplateAssignment] = {}
-    for choices, glue in _glue_search(bp, units, pin, limits, []):
+    for choices, glue in _glue_search(bp.graph, plan, limits, []):
         key = tuple(sorted(choices.items()))
         if key in results:
             continue
@@ -593,6 +584,8 @@ def glue_templates(bp: GadgetBlueprint, choices: dict[str, str],
     behind `template_solve` with every unit pinned to its choice.
 
     `choices` must name every registered unit; other names are ignored.
+    `limits` may also be a running `_Budget`, which the search then keeps
+    ticking: `reduction.decide` shares one across its assignments.
     Raises CertificateError when the choices admit no preimage, naming the
     first unit (in search order) whose template cannot be glued on, or
     saying that the glued candidate does not verify.
@@ -602,8 +595,9 @@ def glue_templates(bp: GadgetBlueprint, choices: dict[str, str],
     if missing:
         raise StructureError(f"no choice for units {missing[:3]} "
                              f"({len(missing)} in all)")
+    plan = _plan(bp, units, choices)
     stuck: list = []
-    for _, glue in _glue_search(bp, units, choices, limits, stuck):
+    for _, glue in _glue_search(bp.graph, plan, limits, stuck):
         w = glue.witness()
         if verify_certificate(w):
             return w

@@ -23,6 +23,7 @@ from trilin.gadgets import (
     make_wire,
 )
 from trilin.graph import (
+    Graph,
     enumerate_triangles,
     every_edge_in_unique_triangle,
     is_isomorphic,
@@ -264,6 +265,13 @@ def test_assembly_identify_merges_labels():
     assert bp.graph.n == 9
     merged = [lab for lab in bp.graph.labels.values() if "=" in lab]
     assert len(merged) == 1 and merged[0].startswith("p/") and "q/" in merged[0]
+
+
+def test_assembly_names_unlabeled_vertices_of_a_partly_labeled_part():
+    tri = GadgetBlueprint(Graph(3, [(0, 1), (1, 2), (0, 2)], {0: "a"}), "tri")
+    asm = Assembly()
+    asm.add(tri, "p")
+    assert asm.build("one").graph.labels == {0: "p/a", 1: "p/v1", 2: "p/v2"}
 
 
 def test_assembly_prefixes_every_part_of_merged_labels():

@@ -229,3 +229,11 @@ def test_decide_budget_reports_unknown():
     res = decide(parse_dimacs(SINGLE), limits=SearchLimits(node_budget=1))
     assert res.status == "UNKNOWN"
     assert "budget" in res.reason.lower()
+
+
+def test_decide_budget_holds_across_assignments():
+    # at size 13 each of the 7 satisfying assignments fails to glue after
+    # 46-48 nodes; one budget for the whole decision runs out on the second
+    res = decide(parse_dimacs(SINGLE), SearchLimits(node_budget=48), enforce=13)
+    assert res.status == "UNKNOWN"
+    assert "budget" in res.reason.lower()

@@ -25,7 +25,7 @@ from trilin.gadgets import (
     make_wheel,
     make_wire,
 )
-from trilin.graph import Graph, canonical_form, is_isomorphic
+from trilin.graph import Graph, canonical_form, enumerate_triangles, is_isomorphic
 from trilin.operators import triangular_line_graph, verify_certificate
 from trilin.search import (
     SQUARED_CYCLE,
@@ -96,6 +96,13 @@ def test_is_tlg_small_yes_and_unknown():
     assert status == "YES" and verify_certificate(w)
     status, reason = is_tlg_small(bowtie, SearchLimits(node_budget=1))
     assert status == "UNKNOWN" and "budget" in reason.lower()
+
+
+def test_is_tlg_small_stops_at_first_witness():
+    # the edgeless 6-vertex target has 45 preimage classes; recognition
+    # needs only one of them, well within 100 nodes
+    status, w = is_tlg_small(Graph(6, []), SearchLimits(node_budget=100))
+    assert status == "YES" and verify_certificate(w)
 
 
 def test_oracle_respects_target_cap():
@@ -195,6 +202,23 @@ def test_template_solve_single_7sun(build):
     assert kinds == {WHEEL, SQUARED_CYCLE}
     for a in found:
         assert verify_certificate(a.witness)
+
+
+@pytest.mark.parametrize("k", [4, 5, 7, 12, 16])
+def test_unit_corners_are_the_atoms_the_other_edges_share(k):
+    # Glue.add identifies these corners across parts, so each must be the
+    # one atom the edges of its triangle's other two vertices share
+    sun = make_sun(k)
+    [(_, parts)] = search.unit_parts(search.sun_units(sun))
+    triangles = {frozenset(tri) for tri in enumerate_triangles(sun.graph)}
+    for kind in (WHEEL, SQUARED_CYCLE):
+        edges, corners = parts[kind]
+        assert {key for key, _ in corners} == triangles
+        for key, opposite in corners:
+            assert set(opposite) == key
+            for t, atom in opposite.items():
+                u, v = key - {t}
+                assert set(edges[u]) & set(edges[v]) == {atom}
 
 
 def test_template_solve_agrees_with_oracle_on_7sun():
