@@ -126,15 +126,18 @@ class Assembly:
         self._pairs: list[tuple[int, int]] = []
 
     def add(self, bp: GadgetBlueprint, prefix: str) -> None:
-        """Add a copy of bp with every path and label part ("a=b") under prefix."""
+        """Add a copy of bp with every path and label part ("a=b") under
+        prefix; an unlabeled vertex v is named `v{v}`, and no name twice."""
+        g, labels = bp.graph, bp.graph.labels or {}
+        names = [labels[v] if v in labels else f"v{v}" for v in range(g.n)]
+        if len(set(names)) < g.n:
+            twice = next(x for i, x in enumerate(names) if x in names[:i])
+            raise StructureError(f"part {prefix!r} names two vertices {twice!r}")
         off = self._n
-        g = bp.graph
         self._n += g.n
         self._edges.extend((u + off, v + off) for u, v in g.edges)
-        sep, labels = f"={prefix}/", g.labels or {}
-        for v in range(g.n):
-            base = labels[v] if v in labels else f"v{v}"
-            self._labels.append(f"{prefix}/{base.replace('=', sep)}" if prefix else base)
+        sep = f"={prefix}/"
+        self._labels.extend(f"{prefix}/{x.replace('=', sep)}" if prefix else x for x in names)
         self._subs[prefix] = (off, SubGadget(bp.kind, tuple(range(g.n)), bp.roles))
         for name, sg in bp.sub_gadgets.items():
             self._subs[f"{prefix}/{name}" if prefix else name] = (off, sg)

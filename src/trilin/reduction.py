@@ -10,15 +10,15 @@ The enforcement size k is `enforce` (default 12, the paper's construction).
 At k = 12 the enforced sun admits only the all-wheel preimage (see
 template_solve on make_binary_enforced_sun(12)), so the squared-cycle side
 of a tap cannot be materialized: witness_from_assignment raises a
-CertificateError naming the tap, and decide() reports UNSAT for every
-formula.  SOUND_ENFORCE = 16 is the smallest size at which the compiled
+CertificateError naming the tap, and decide()'s one budgeted tap check
+finds the collapse and reports UNSAT for every formula without enumerating
+assignments.  SOUND_ENFORCE = 16 is the smallest size at which the compiled
 reduction is sound: there every satisfying assignment glues into a verified
 preimage, and decide() agrees with the truth table.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -35,10 +35,8 @@ from .gadgets import (
     _add_cluster,
     _clause_pairs,
     make_binary_enforced_sun,
-    make_squared_cycle,
-    make_wheel,
 )
-from .graph import every_edge_in_unique_triangle, is_isomorphic
+from .graph import every_edge_in_unique_triangle
 from .operators import PreimageWitness, restrict_preimage, verify_certificate
 from .search import (
     SQUARED_CYCLE,
@@ -180,29 +178,29 @@ def compile_formula(formula: CnfFormula, enforce: int = 12) -> ReductionOutput:
 # ---------------------------------------------------------------------------
 
 
-def _cluster_pins(i: int, value: bool, m: int, k: int) -> dict[str, str]:
-    """Template choices propagated through cluster i by the NOT / EQUAL
-    joins: the root sun is a squared cycle iff the variable is true, wire
-    suns alternate, and each tapped k-sun copies its wire sun."""
+def _pins(r: ReductionOutput, assignment: tuple[bool, ...]) -> dict[str, str]:
+    """Template choices propagated through each variable's cluster by the
+    NOT / EQUAL joins: the root sun is a squared cycle iff the variable is
+    true, wire suns alternate, and each tapped k-sun copies its wire sun."""
+    k = r.enforce
     pins: dict[str, str] = {}
-    prefix = f"x{i + 1}"
-    for j in range(2 * m + 1):
-        cyc = value == (j % 2 == 0)
-        kind = SQUARED_CYCLE if cyc else WHEEL
-        pins[f"{prefix}/H{j}"] = kind
-        if 1 <= j:
-            for t in range(k):
-                pins[f"{prefix}/V{j}/emb{t}"] = kind
-            pins[f"{prefix}/V{j}/sun{k}"] = kind
+    for i, value in enumerate(assignment):
+        prefix = f"x{i + 1}"
+        for j in range(2 * len(r.formula.clauses) + 1):
+            kind = SQUARED_CYCLE if bool(value) == (j % 2 == 0) else WHEEL
+            pins[f"{prefix}/H{j}"] = kind
+            if j:
+                for t in range(k):
+                    pins[f"{prefix}/V{j}/emb{t}"] = kind
+                pins[f"{prefix}/V{j}/sun{k}"] = kind
     return pins
 
 
-@functools.lru_cache(maxsize=None)
-def _cycle_tap_feasible(k: int) -> bool:
-    """Whether the enforced k-sun admits a squared-cycle-side preimage.
-    Computed once per size from the solver; used to fail fast, naming the
-    tap, instead of gluing the whole graph for every prescribed choice."""
-    return bool(template_solve(make_binary_enforced_sun(k),
+def _cycle_tap_feasible(k: int, budget: _Budget) -> bool:
+    """Whether the enforced k-sun admits a squared-cycle-side preimage,
+    searched under the caller's budget.  Every assignment needs one: with
+    m >= 1 clauses each variable has squared-cycle taps of one parity."""
+    return bool(template_solve(make_binary_enforced_sun(k), budget,
                                pin={"emb0": SQUARED_CYCLE}, max_results=1))
 
 
@@ -214,46 +212,39 @@ def witness_from_assignment(r: ReductionOutput, assignment: tuple[bool, ...],
     Raises UnsatisfyingAssignmentError when a clause is false, and
     CertificateError when the prescribed template choices admit no actual
     preimage (which at tap size 12 affects every squared-cycle tap).
-    `limits` passes to `glue_templates`, which also takes a running
-    budget."""
+    `limits` bounds the tap check and the glue together."""
     bad = violated_clause(r.formula, assignment)
     if bad is not None:
         raise UnsatisfyingAssignmentError(bad)
-    m = len(r.formula.clauses)
+    budget = _Budget(limits or SearchLimits())
     k = r.enforce
-    # the taps _cluster_pins makes squared cycles
-    needy = sorted(f"x{i + 1}/V{j}/sun{k}" for i, value in enumerate(assignment)
-                   for j in range(1, 2 * m + 1) if bool(value) == (j % 2 == 0))
-    if needy and not _cycle_tap_feasible(k):
+    if not _cycle_tap_feasible(k, budget):
+        needy = sorted(name for name, kind in _pins(r, assignment).items()
+                       if kind == SQUARED_CYCLE and name.endswith(f"/sun{k}"))
         raise CertificateError(
             "no preimage realizes the prescribed choices: the enforced "
             f"{k}-sun has no squared-cycle-side preimage, required at "
             f"{needy[0]} (and {len(needy) - 1} more)")
-    pins: dict[str, str] = {}
-    for i, value in enumerate(assignment):
-        pins.update(_cluster_pins(i, bool(value), m, k))
-    return glue_templates(r.blueprint, pins, limits)
+    return glue_templates(r.blueprint, _pins(r, assignment), budget)
 
 
 def assignment_from_witness(r: ReductionOutput,
                             w: PreimageWitness) -> tuple[bool, ...]:
-    """Read the stored bits back out of a verified witness by restricting
-    to each variable's root sun and testing which template it became."""
+    """Read the stored bits back out of a verified witness.  The restriction
+    to each variable's root 7-sun verifies, so it is the squared 7-cycle (7
+    vertices, true) or the 7-wheel (8 vertices, false): the 7-sun has no
+    other preimage (acceptance criterion 2)."""
     if not verify_certificate(w):
         raise CertificateError("witness does not certify the compiled graph")
-    wheel7 = make_wheel(7).graph
-    cycle7 = make_squared_cycle(7).graph
     values = []
     for i in range(r.formula.variable_count):
         sub = r.blueprint.sub(r.variable_roots[i])
         restricted = restrict_preimage(w, sub.vertices)
-        if is_isomorphic(restricted.candidate, cycle7):
-            values.append(True)
-        elif is_isomorphic(restricted.candidate, wheel7):
-            values.append(False)
-        else:
+        n = restricted.candidate.n
+        if n not in (7, 8) or not verify_certificate(restricted):
             raise CertificateError(
                 f"restriction to {r.variable_roots[i]} matches neither template")
+        values.append(n == 7)
     out = tuple(values)
     bad = violated_clause(r.formula, out)
     if bad is not None:
@@ -277,11 +268,12 @@ class DecisionResult:
 
 def decide(formula: CnfFormula, limits: SearchLimits | None = None,
            max_vars: int = 20, enforce: int = 12) -> DecisionResult:
-    """Exponential desk-scale decision: enumerate assignments in
-    lexicographic order, keep the first whose prescribed preimage actually
-    materializes and verifies.  UNSAT only after the whole space is
-    exhausted.  `limits` bounds the whole decision, every glue included;
-    budget exhaustion reports UNKNOWN.  `enforce` is the tap
+    """Exponential desk-scale decision.  One tap check first: every
+    assignment needs squared-cycle taps, so UNSAT at once when the enforced
+    sun has none.  Otherwise keep the first satisfying assignment, in
+    lexicographic order, whose prescribed preimage glues and verifies.
+    `limits` bounds the whole decision, the tap check and every glue
+    included; budget exhaustion reports UNKNOWN.  `enforce` is the tap
     size of the compiled graph; only 16 is known to give the truth table's
     answers (see compile_formula for the measured sizes)."""
     n = formula.variable_count
@@ -290,15 +282,16 @@ def decide(formula: CnfFormula, limits: SearchLimits | None = None,
             f"refusing {n}-variable formula (guard {max_vars}); "
             "the decision procedure is exponential")
     r = compile_formula(formula, enforce)
-    # one budget for the whole decision: each glue keeps ticking it
     budget = _Budget(limits or SearchLimits())
     try:
+        if not _cycle_tap_feasible(enforce, budget):
+            return DecisionResult("UNSAT")
         for bits in itertools.product((False, True), repeat=n):
             budget.tick()
             if violated_clause(formula, bits) is not None:
                 continue
             try:
-                w = witness_from_assignment(r, bits, budget)
+                w = glue_templates(r.blueprint, _pins(r, bits), budget)
             except CertificateError:
                 continue
             return DecisionResult("SAT", bits, w)

@@ -551,13 +551,15 @@ def template_solve(bp: GadgetBlueprint,
                    pin: dict[str, str] | None = None,
                    max_results: int | None = None) -> list[TemplateAssignment]:
     """Enumerate consistent global wheel / squared-cycle choices over all
-    registered sun units; one certified witness per distinct choice vector.
+    registered sun units; one certified witness per distinct choice vector,
+    so it is complete on vectors, not on preimages (wire(2) has 20 certified
+    oracle leaves on its 2 vectors).
 
     `_glue_search` prunes a prefix as soon as its glue fails in a way no
     later unit can repair; each complete glue is kept when it verifies.
 
     pin fixes the choice of named units (others stay free); max_results
-    stops the enumeration early.
+    stops the enumeration early; limits may be a running `_Budget`.
     """
     pin = pin or {}
     units = sun_units(bp)
@@ -585,7 +587,7 @@ def glue_templates(bp: GadgetBlueprint, choices: dict[str, str],
 
     `choices` must name every registered unit; other names are ignored.
     `limits` may also be a running `_Budget`, which the search then keeps
-    ticking: `reduction.decide` shares one across its assignments.
+    ticking: `reduction.decide` shares one across its whole decision.
     Raises CertificateError when the choices admit no preimage, naming the
     first unit (in search order) whose template cannot be glued on, or
     saying that the glued candidate does not verify.

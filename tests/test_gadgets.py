@@ -274,6 +274,14 @@ def test_assembly_names_unlabeled_vertices_of_a_partly_labeled_part():
     assert asm.build("one").graph.labels == {0: "p/a", 1: "p/v1", 2: "p/v2"}
 
 
+def test_assembly_rejects_a_label_that_repeats_a_default_name():
+    # vertex 0 labeled "v1" and unlabeled vertex 1 would both be "p/v1"
+    tri = GadgetBlueprint(Graph(3, [(0, 1), (1, 2), (0, 2)], {0: "v1"}), "tri")
+    asm = Assembly()
+    with pytest.raises(StructureError, match=r"'p'.*'v1'"):
+        asm.add(tri, "p")
+
+
 def test_assembly_prefixes_every_part_of_merged_labels():
     # a composite re-added under a prefix keeps its merged labels' parts
     # addressable: each part of "H0/c4=H1/c0" gets the prefix

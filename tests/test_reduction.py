@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -24,7 +26,7 @@ from trilin.reduction import (
     violated_clause,
     witness_from_assignment,
 )
-from trilin.search import SearchLimits
+from trilin.search import SearchLimits, template_solve
 
 SINGLE = "p cnf 3 1\n1 2 3 0\n"
 
@@ -232,8 +234,61 @@ def test_decide_budget_reports_unknown():
 
 
 def test_decide_budget_holds_across_assignments():
-    # at size 13 each of the 7 satisfying assignments fails to glue after
-    # 46-48 nodes; one budget for the whole decision runs out on the second
+    # at size 13 the tap check takes 27 nodes and each of the 7 satisfying
+    # assignments fails to glue after 46-48 more; one budget for the whole
+    # decision runs out in the first glue
     res = decide(parse_dimacs(SINGLE), SearchLimits(node_budget=48), enforce=13)
     assert res.status == "UNKNOWN"
     assert "budget" in res.reason.lower()
+
+
+def test_decide_tap_check_ticks_the_decision_budget():
+    # a fresh interpreter, so a tap check cached by an earlier call cannot
+    # hide ticks; the enforced 16-sun's check needs 33 nodes, so a budget
+    # of 5 stops it
+    script = (
+        "from trilin import search\n"
+        "from trilin.reduction import decide, parse_dimacs\n"
+        "ticks = []\n"
+        "tick = search._Budget.tick\n"
+        "search._Budget.tick = lambda self: (ticks.append(1), tick(self))\n"
+        "res = decide(parse_dimacs('p cnf 3 1\\n1 2 3 0\\n'),\n"
+        "             search.SearchLimits(node_budget=5), enforce=16)\n"
+        "print(res.status, len(ticks))\n")
+    res = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    status, ticks = res.stdout.split()
+    assert status == "UNKNOWN" and int(ticks) <= 6
+
+
+def test_decide_skips_the_loop_when_no_tap_materializes():
+    # at size 12 no assignment can glue, so the 2^20 assignments are never
+    # enumerated and a small budget still reaches a verdict
+    f = CnfFormula(20, (((0, True), (1, True), (2, True)),))
+    assert decide(f, SearchLimits(node_budget=10_000)).status == "UNSAT"
+
+
+UNSAT8 = "p cnf 3 8\n" + "".join(
+    f"{'-' if a else ''}1 {'-' if b else ''}2 {'-' if c else ''}3 0\n"
+    for a, b, c in itertools.product((False, True), repeat=3))
+
+
+@pytest.mark.parametrize("text,enforce", [
+    (SINGLE, 16), (SINGLE, 12), (UNSAT8, 16), (UNSAT8, 12),
+    # formulas of the acceptance corpus
+    ("p cnf 4 3\n1 2 4 0\n-1 3 4 0\n-1 2 -4 0\n", 16),
+    ("p cnf 4 2\n-1 -2 3 0\n1 -3 -4 0\n", 16),
+    ("p cnf 3 2\n1 2 3 0\n-1 2 -3 0\n", 16),
+    ("p cnf 4 2\n-1 -2 -4 0\n-2 -3 -4 0\n", 16),
+])
+def test_compiled_graph_preimage_decodes_to_the_truth_table(text, enforce):
+    # the reverse direction of the reduction theorem: a preimage found by
+    # searching the compiled graph, nothing pinned, encodes a satisfying
+    # assignment; at size 12 the collapse leaves no preimage at all
+    f = parse_dimacs(text)
+    r = compile_formula(f, enforce)
+    found = template_solve(r.blueprint, max_results=1)
+    assert len(found) == (enforce == 16 and brute_sat(f) is not None)
+    for a in found:
+        assert satisfies(f, assignment_from_witness(r, a.witness))

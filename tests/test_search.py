@@ -26,7 +26,11 @@ from trilin.gadgets import (
     make_wire,
 )
 from trilin.graph import Graph, canonical_form, enumerate_triangles, is_isomorphic
-from trilin.operators import triangular_line_graph, verify_certificate
+from trilin.operators import (
+    restrict_preimage,
+    triangular_line_graph,
+    verify_certificate,
+)
 from trilin.search import (
     SQUARED_CYCLE,
     WHEEL,
@@ -227,6 +231,45 @@ def test_template_solve_agrees_with_oracle_on_7sun():
     brute = {canonical_form(w.candidate)
              for w in brute_force_preimages(make_sun(7).graph)}
     assert solved == brute
+
+
+def _sun7_join(attach, bowtie):
+    sun = designate_attachments(make_sun(7))
+    return attach(sun, bowtie, sun, "root")
+
+
+@pytest.mark.parametrize("build,leaves", [
+    (lambda: make_wire(0), 4),
+    (lambda: make_wire(1), 4),
+    (lambda: make_wire(2), 20),
+    (lambda: make_wire(3), 102),
+    (lambda: _sun7_join(attach_equal, "equal"), 4),
+    (lambda: _sun7_join(attach_not, "not"), 4),
+], ids=["wire0", "wire1", "wire2", "wire3", "equal", "not"])
+def test_template_solve_choice_vectors_match_the_oracle(build, leaves):
+    # every oracle preimage restricts to a template on each unit, and the
+    # choice vectors it projects to are template_solve's; several preimages
+    # can share one vector (wire(2): 20 leaves, 2 vectors)
+    bp = build()
+    units = search.sun_units(bp)
+    wheel7, cycle7 = make_wheel(7).graph, make_squared_cycle(7).graph
+    vectors = set()
+    count = 0
+    for w in search._certified_witnesses(
+            bp.graph, SearchLimits(max_target_vertices=64)):
+        count += 1
+        vector = []
+        for name, sg in units:
+            c = restrict_preimage(w, sg.vertices).candidate
+            kind = (WHEEL if is_isomorphic(c, wheel7)
+                    else SQUARED_CYCLE if is_isomorphic(c, cycle7) else None)
+            assert kind is not None, f"{name} restricts to no template"
+            vector.append((name, kind))
+        vectors.add(tuple(sorted(vector)))
+    assert count == leaves
+    assert vectors == {tuple(sorted(a.choices.items()))
+                       for a in template_solve(bp)}
+    assert len(vectors) == 2
 
 
 def test_equal_join_forces_agreement():
