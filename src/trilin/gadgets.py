@@ -9,10 +9,11 @@ arising from merged triangles collapse silently (set semantics).
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import ParseError, StructureError
-from .graph import Graph, from_json_obj, to_json_obj
+from .graph import Graph, _is_int, from_json_obj, to_json_obj
 
 EQUAL = "EQUAL"
 NOT = "NOT"
@@ -32,7 +33,7 @@ class GadgetBlueprint:
     graph: Graph
     kind: str
     roles: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    sub_gadgets: dict[str, SubGadget] = field(default_factory=dict)
+    sub_gadgets: Mapping[str, SubGadget] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     def sub(self, path: str) -> SubGadget:
@@ -62,20 +63,45 @@ class GadgetBlueprint:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "GadgetBlueprint":
-        try:
-            graph = from_json_obj(obj["graph"])
-            subs = {
-                name: SubGadget(
-                    d["kind"],
-                    tuple(d["vertices"]),
-                    {k: tuple(v) for k, v in d["roles"].items()},
-                )
-                for name, d in obj.get("sub_gadgets", {}).items()
-            }
-            roles = {k: tuple(v) for k, v in obj.get("roles", {}).items()}
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad blueprint JSON: {exc}")
-        return GadgetBlueprint(graph, obj.get("kind", ""), roles, subs, obj.get("meta", {}))
+        """The blueprint of a JSON object as to_json_obj writes it; anything
+        malformed, a vertex outside the graph included, is a ParseError."""
+        if not isinstance(obj, dict):
+            raise ParseError("bad blueprint JSON: not an object")
+        graph = from_json_obj(obj.get("graph"))
+        if len(set(_vertex_names(graph))) < graph.n:
+            raise ParseError("bad blueprint JSON: a label repeats another vertex's name")
+        kind, meta, subs = obj.get("kind", ""), obj.get("meta", {}), obj.get("sub_gadgets", {})
+        if not isinstance(kind, str) or not isinstance(meta, dict) \
+                or not isinstance(subs, dict):
+            raise ParseError("bad blueprint JSON: kind must be a string, meta and "
+                             "sub_gadgets objects")
+        if not all(isinstance(d, dict) and isinstance(d.get("kind"), str)
+                   for d in subs.values()):
+            raise ParseError("bad blueprint JSON: each sub-gadget needs a string kind")
+        return GadgetBlueprint(
+            graph, kind, _json_roles(obj.get("roles", {}), graph.n, "blueprint"),
+            {name: SubGadget(d["kind"], _json_vertices(d.get("vertices"), graph.n, name),
+                             _json_roles(d.get("roles"), graph.n, name))
+             for name, d in subs.items()},
+            meta)
+
+
+def _json_vertices(x, n: int, where: str) -> tuple[int, ...]:
+    if not isinstance(x, list) or not all(_is_int(v) and 0 <= v < n for v in x):
+        raise ParseError(f"bad blueprint JSON: {where!r} must list vertices of the graph")
+    return tuple(x)
+
+
+def _json_roles(x, n: int, where: str) -> dict[str, tuple[int, ...]]:
+    if not isinstance(x, dict):
+        raise ParseError(f"bad blueprint JSON: roles of {where!r} must be an object")
+    return {k: _json_vertices(v, n, f"{where}/{k}") for k, v in x.items()}
+
+
+def _vertex_names(g: Graph) -> list[str]:
+    """Each vertex's label, or `v{v}` when it has none."""
+    labels = g.labels or {}
+    return [labels[v] if v in labels else f"v{v}" for v in range(g.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +140,9 @@ class Assembly:
 
     Parts are added with a path prefix; identifications are collected in
     union-id space and applied once at build time.  Each part's sub-gadgets
-    are kept in part coordinates with the part's offset, and translated once,
-    by `build` (or on lookup, by `sub`).
+    are kept in part coordinates with the part's offset; `sub` shifts one on
+    lookup, and a built blueprint's registry translates an entry through the
+    build's vertex map on its first read (see _Registry).
     """
 
     def __init__(self):
@@ -128,8 +155,8 @@ class Assembly:
     def add(self, bp: GadgetBlueprint, prefix: str) -> None:
         """Add a copy of bp with every path and label part ("a=b") under
         prefix; an unlabeled vertex v is named `v{v}`, and no name twice."""
-        g, labels = bp.graph, bp.graph.labels or {}
-        names = [labels[v] if v in labels else f"v{v}" for v in range(g.n)]
+        g = bp.graph
+        names = _vertex_names(g)
         if len(set(names)) < g.n:
             twice = next(x for i, x in enumerate(names) if x in names[:i])
             raise StructureError(f"part {prefix!r} names two vertices {twice!r}")
@@ -212,12 +239,36 @@ class Assembly:
             labels[nid] = "=".join(sorted(ps))
 
         graph = Graph(len(labels), [(vmap[u], vmap[v]) for u, v in self._edges], labels)
-        subs = {}
-        for name, (off, sg) in self._subs.items():
-            tr = lambda t: tuple(vmap[x + off] for x in t)
-            subs[name] = SubGadget(sg.kind, tuple(sorted(set(tr(sg.vertices)))),
-                                   {k: tr(v) for k, v in sg.roles.items()})
-        return GadgetBlueprint(graph, kind, {}, subs, meta or {})
+        return GadgetBlueprint(graph, kind, {}, _Registry(dict(self._subs), vmap), meta or {})
+
+
+class _Registry(Mapping):
+    """A built blueprint's read-only sub-gadget registry: the assembly's
+    (offset, SubGadget) entries in part coordinates, each translated through
+    the build's vertex map the first time it is read, then kept."""
+
+    def __init__(self, entries: dict[str, tuple[int, SubGadget]], vmap: list[int]):
+        self._entries, self._vmap, self._read = entries, vmap, {}
+
+    def __getitem__(self, name: str) -> SubGadget:
+        sg = self._read.get(name)
+        if sg is None:
+            sg = self._read[name] = self._translate(*self._entries[name])
+        return sg
+
+    def _translate(self, off: int, sg: SubGadget) -> SubGadget:
+        tr = lambda t: tuple(self._vmap[x + off] for x in t)
+        return SubGadget(sg.kind, tuple(sorted(set(tr(sg.vertices)))),
+                         {k: tr(v) for k, v in sg.roles.items()})
+
+    def __contains__(self, name) -> bool:
+        return name in self._entries
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 # ---------------------------------------------------------------------------

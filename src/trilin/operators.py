@@ -185,6 +185,12 @@ def restrict_preimage(w: PreimageWitness, subset: Iterable[int]) -> PreimageWitn
         raise StructureError("subset is not triangle-induced in the target")
     if not verify_certificate(w):
         raise CertificateError("input witness does not verify")
+    return _restrict(w, s)
+
+
+def _restrict(w: PreimageWitness, s: list[int]) -> PreimageWitness:
+    """restrict_preimage's body, for a verified w and a sorted
+    triangle-induced s: the checks are the caller's."""
     target_sub, _ = induced_subgraph(w.target, s)
     t_index = {old: new for new, old in enumerate(s)}
     keep = set(s)

@@ -37,7 +37,12 @@ from .gadgets import (
     make_binary_enforced_sun,
 )
 from .graph import every_edge_in_unique_triangle
-from .operators import PreimageWitness, restrict_preimage, verify_certificate
+from .operators import (
+    PreimageWitness,
+    _restrict,
+    is_triangle_induced,
+    verify_certificate,
+)
 from .search import (
     SQUARED_CYCLE,
     WHEEL,
@@ -230,16 +235,19 @@ def witness_from_assignment(r: ReductionOutput, assignment: tuple[bool, ...],
 
 def assignment_from_witness(r: ReductionOutput,
                             w: PreimageWitness) -> tuple[bool, ...]:
-    """Read the stored bits back out of a verified witness.  The restriction
-    to each variable's root 7-sun verifies, so it is the squared 7-cycle (7
-    vertices, true) or the 7-wheel (8 vertices, false): the 7-sun has no
-    other preimage (acceptance criterion 2)."""
+    """Read the stored bits back out of a verified witness.  The whole
+    witness is verified once; then the restriction to each variable's root
+    7-sun verifies, so it is the squared 7-cycle (7 vertices, true) or the
+    7-wheel (8 vertices, false): the 7-sun has no other preimage
+    (acceptance criterion 2)."""
     if not verify_certificate(w):
         raise CertificateError("witness does not certify the compiled graph")
     values = []
     for i in range(r.formula.variable_count):
-        sub = r.blueprint.sub(r.variable_roots[i])
-        restricted = restrict_preimage(w, sub.vertices)
+        s = sorted(set(r.blueprint.sub(r.variable_roots[i]).vertices))
+        if not is_triangle_induced(w.target, s):
+            raise StructureError("subset is not triangle-induced in the target")
+        restricted = _restrict(w, s)
         n = restricted.candidate.n
         if n not in (7, 8) or not verify_certificate(restricted):
             raise CertificateError(

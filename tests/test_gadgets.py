@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from trilin.errors import StructureError
+import trilin.gadgets as gadgets
+from trilin.errors import ParseError, StructureError
 from trilin.gadgets import (
     Assembly,
     GadgetBlueprint,
@@ -28,8 +29,14 @@ from trilin.graph import (
     every_edge_in_unique_triangle,
     is_isomorphic,
 )
-from trilin.operators import is_triangle_induced, triangular_line_graph
-from trilin.search import sun_units
+from trilin.operators import (
+    is_triangle_induced,
+    triangular_line_graph,
+    verify_certificate,
+    witness_of_operator,
+)
+from trilin.reduction import compile_formula, parse_dimacs
+from trilin.search import sun_units, template_solve
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +113,29 @@ def test_blueprint_json_round_trip():
     assert back.kind == bp.kind
     assert set(back.sub_gadgets) == set(bp.sub_gadgets)
     assert back.sub("root").roles == bp.sub("root").roles
+
+
+TRIANGLE = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
+
+
+@pytest.mark.parametrize("obj", [
+    {"graph": TRIANGLE, "sub_gadgets": []},
+    {"graph": TRIANGLE, "roles": []},
+    {"graph": TRIANGLE, "sub_gadgets": {"s": {"kind": "t", "vertices": [0, 9], "roles": {}}}},
+    {"graph": TRIANGLE, "roles": {"cycle": "ab"}},
+    {"graph": TRIANGLE, "meta": 5},
+    # vertex 0 named "v1" collides with the default name of unlabeled vertex 1
+    {"graph": {**TRIANGLE, "labels": {"0": "v1"}}},
+], ids=["sub_gadgets_list", "roles_list", "vertex_out_of_range", "role_string",
+        "meta_int", "label_repeats_default_name"])
+def test_blueprint_json_rejects_malformed_fields(obj):
+    with pytest.raises(ParseError):
+        GadgetBlueprint.from_json_obj(obj)
+
+
+def test_blueprint_json_accepts_partial_labels():
+    bp = GadgetBlueprint.from_json_obj({"graph": {**TRIANGLE, "labels": {"0": "a"}}})
+    assert bp.graph.labels == {0: "a"}
 
 
 # ---------------------------------------------------------------------------
@@ -290,3 +320,80 @@ def test_assembly_prefixes_every_part_of_merged_labels():
     labels = asm.build("wrapped").graph.labels.values()
     assert any("=" in lab for lab in labels)
     assert all(p.startswith("w/") for lab in labels for p in lab.split("="))
+
+
+# ---------------------------------------------------------------------------
+# A built blueprint's registry, translated on first read
+# ---------------------------------------------------------------------------
+
+
+def _count_translations(monkeypatch) -> list:
+    calls = []
+    translate = gadgets._Registry._translate
+    monkeypatch.setattr(gadgets._Registry, "_translate",
+                        lambda self, off, sg: calls.append(1) or translate(self, off, sg))
+    return calls
+
+
+def test_registry_equals_an_eager_translation():
+    # translate every entry independently: union vertex -> its label part ->
+    # the built vertex whose label holds that part
+    asm = Assembly()
+    gadgets._add_cluster(asm, "x/", 0, 1, 12)
+    parts = list(asm._labels)
+    names = list(asm._subs)
+    shifted = {name: asm.sub(name) for name in names}
+    bp = asm.build("cluster")
+    new_id = {p: v for v, lab in bp.graph.labels.items() for p in lab.split("=")}
+    tr = lambda t: tuple(new_id[parts[x]] for x in t)
+    assert list(bp.sub_gadgets) == names
+    for name, sg in shifted.items():
+        assert bp.sub_gadgets[name] == gadgets.SubGadget(
+            sg.kind, tuple(sorted(set(tr(sg.vertices)))),
+            {k: tr(v) for k, v in sg.roles.items()}), name
+    assert bp.sub_gadgets == {name: bp.sub(name) for name in names}
+
+
+def test_built_blueprint_ignores_later_assembly_changes():
+    def assembly():
+        asm = Assembly()
+        asm.add(make_wire(1), "w")
+        return asm
+
+    asm = assembly()
+    bp = asm.build("wrapped")
+    asm.add(make_bowtie(), "z")
+    asm.identify(0, bp.graph.n)
+    asm.build("grown")
+    assert "z" not in bp.sub_gadgets
+    assert bp.to_json() == assembly().build("wrapped").to_json()
+
+
+def test_equal_join_of_two_built_wires():
+    # Assembly.add reads the registry of a built blueprint
+    wire = make_wire(1)
+    bp = attach_equal(wire, "H1/equal", wire, "H0/equal")
+    assert bp.graph.n == 2 * wire.graph.n - 5
+    assert bp.sub("a/H1/equal").roles["center"] == bp.sub("b/H0/equal").roles["center"]
+    for name in ("H0", "H1", "H0/root", "H1/not"):
+        assert bp.sub(f"a/{name}") == wire.sub(name)
+    for name in ("b/H0", "b/H1"):
+        assert len(bp.sub(name).vertices) == 14
+        assert is_triangle_induced(bp.graph, bp.sub(name).vertices)
+    assert every_edge_in_unique_triangle(bp.graph)
+
+
+def test_compile_and_check_translate_no_sub_gadget(monkeypatch):
+    # compiling, computing T(G) and verifying it never read the registry
+    calls = _count_translations(monkeypatch)
+    r = compile_formula(parse_dimacs("p cnf 4 2\n1 2 3 0\n-2 3 -4 0\n"))
+    assert verify_certificate(witness_of_operator(triangular_line_graph(r.blueprint.graph)))
+    assert calls == [] and len(r.blueprint.sub_gadgets) > 0
+
+
+def test_to_json_then_template_solve_translates_each_entry_once(monkeypatch):
+    calls = _count_translations(monkeypatch)
+    bp = make_wire(2)
+    bp.to_json()
+    assert template_solve(bp)
+    assert len(calls) == len(bp.sub_gadgets)

@@ -199,6 +199,32 @@ def test_witness_at_sound_size_round_trips():
     assert assignment_from_witness(r, w) == (True, False, False)
 
 
+def test_assignment_from_witness_verifies_the_whole_witness_once(monkeypatch):
+    # one check of the whole witness, then one per variable's restriction
+    import trilin.operators as operators
+    import trilin.reduction as reduction
+
+    r = compile_formula(parse_dimacs("p cnf 4 3\n1 2 4 0\n-1 3 4 0\n-1 2 -4 0\n"),
+                        enforce=16)
+    w = witness_from_assignment(r, (False, False, False, True))
+    sizes = []
+    verify = operators.verify_certificate
+    counting = lambda w: sizes.append(w.target.n) or verify(w)
+    monkeypatch.setattr(operators, "verify_certificate", counting)
+    monkeypatch.setattr(reduction, "verify_certificate", counting)
+    assert assignment_from_witness(r, w) == (False, False, False, True)
+    assert sizes == [w.target.n] + [14] * 4
+
+
+def test_assignment_from_witness_rejects_a_witness_of_another_graph():
+    r = compile_formula(parse_dimacs(SINGLE), enforce=16)
+    w = witness_from_assignment(r, (True, False, False))
+    other = compile_formula(parse_dimacs("p cnf 3 1\n-1 2 3 0\n"), enforce=16)
+    with pytest.raises(CertificateError, match="^witness does not certify the compiled graph$"):
+        assignment_from_witness(other, type(w)(other.blueprint.graph, w.candidate,
+                                               w.edge_to_vertex))
+
+
 def test_decide_reports_unsat_for_contradiction():
     text = "p cnf 3 8\n" + "".join(
         f"{'-' if a else ''}1 {'-' if b else ''}2 {'-' if c else ''}3 0\n"
