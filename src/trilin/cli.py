@@ -64,11 +64,24 @@ from .search import (
     template_solve,
 )
 
-EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+
+# the exit code of each status a command reports
+_STATUS_EXIT = {"YES": 0, "SAT": 0, "PASS": 0, "NO": EXIT_NEGATIVE,
+                "UNSAT": EXIT_NEGATIVE, "FAIL": EXIT_NEGATIVE, "UNKNOWN": EXIT_BUDGET}
+
+# each config key and the JSON type it takes; null leaves a key unset, and
+# a bool is no number (as in graph._is_int)
+_CONFIG_TYPES = {
+    "format": (str, "a string"),
+    "appendix_dir": (str, "a string"),
+    "time_budget": ((int, float), "a number"),
+    "node_budget": (int, "an integer"),
+    "max_target_vertices": (int, "an integer"),
+}
 
 
 def _load_config() -> dict:
@@ -82,23 +95,22 @@ def _load_config() -> dict:
         raise click.ClickException(f"bad config file {path}: {exc}")
     if not isinstance(cfg, dict):
         raise click.ClickException(f"config file {path} must hold an object")
+    for key, (types, kind) in _CONFIG_TYPES.items():
+        v = cfg.get(key)
+        if v is not None and (isinstance(v, bool) or not isinstance(v, types)):
+            raise click.ClickException(
+                f"config file {path}: {key} must be {kind}, got {v!r}")
     return cfg
 
 
-def _limits(ctx_cfg: dict, time_budget, node_budget, max_target) -> SearchLimits:
+def _limits(cfg: dict, time_budget, node_budget, max_target) -> SearchLimits:
+    """Each search limit from its flag, else the config file, else the default."""
     lim = SearchLimits()
-    if (v := ctx_cfg.get("max_target_vertices")) is not None:
-        lim.max_target_vertices = int(v)
-    if (v := ctx_cfg.get("time_budget")) is not None:
-        lim.time_budget = float(v)
-    if (v := ctx_cfg.get("node_budget")) is not None:
-        lim.node_budget = int(v)
-    if max_target is not None:
-        lim.max_target_vertices = max_target
-    if time_budget is not None:
-        lim.time_budget = time_budget
-    if node_budget is not None:
-        lim.node_budget = node_budget
+    flags = {"max_target_vertices": max_target, "time_budget": time_budget,
+             "node_budget": node_budget}
+    for key, flag in flags.items():
+        if (v := cfg.get(key) if flag is None else flag) is not None:
+            setattr(lim, key, v)
     return lim
 
 
@@ -110,32 +122,39 @@ def _emit(text: str, out: str | None):
         click.echo(text)
 
 
-def _render_graph(g: Graph, fmt: str) -> str:
+def _emit_status(payload: dict, out: str | None):
+    """Write a solving command's status payload, then exit with its code."""
+    _emit(json.dumps(payload, separators=(",", ":")), out)
+    sys.exit(_STATUS_EXIT[payload["status"]])
+
+
+_GRAPH_FORMATS = {"edgelist": to_edgelist, "dot": to_dot}
+
+
+def _emit_graph(ctx, fmt: str | None, out: str | None, g: Graph, as_json):
+    """Write a command's graph in `fmt`, else the config's format, else
+    json.  json is the command's own payload, `as_json()`, built only when
+    asked for; the other formats render `g` alone."""
+    fmt = fmt or ctx.obj.get("format") or "json"
     if fmt == "json":
-        return json.dumps(to_json_obj(g), separators=(",", ":"))
-    if fmt == "edgelist":
-        return to_edgelist(g)
-    if fmt == "dot":
-        return to_dot(g)
-    raise click.ClickException(f"unknown format {fmt!r}")
+        _emit(as_json(), out)
+    elif fmt in _GRAPH_FORMATS:
+        _emit(_GRAPH_FORMATS[fmt](g), out)
+    else:
+        raise click.ClickException(f"unknown format {fmt!r}")
 
 
 format_option = click.option(
     "--format", "fmt", default=None,
-    type=click.Choice(["json", "edgelist", "dot"]), help="Output format.")
+    type=click.Choice(["json", *_GRAPH_FORMATS]), help="Output format.")
 out_option = click.option("--out", default=None, help="Write output to a file.")
-budget_options = (
-    click.option("--time-budget", type=float, default=None),
-    click.option("--node-budget", type=int, default=None),
-)
 # only the commands that run the brute-force oracle take its target-size cap
 _max_target_option = click.option("--max-target-vertices", type=int, default=None)
 
 
 def _with_budget_options(f):
-    for opt in reversed(budget_options):
-        f = opt(f)
-    return f
+    f = click.option("--node-budget", type=int, default=None)(f)
+    return click.option("--time-budget", type=float, default=None)(f)
 
 
 @click.group()
@@ -143,10 +162,6 @@ def _with_budget_options(f):
 def main(ctx):
     """Triangular line graph toolkit."""
     ctx.obj = _load_config()
-
-
-def _fmt_from(ctx, fmt) -> str:
-    return fmt or ctx.obj.get("format") or "json"
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +183,10 @@ def tlg_compute(ctx, graph_file, fmt, out):
     """Emit T(G) and the edge->vertex bijection."""
     g = load_graph_file(graph_file)
     res = triangular_line_graph(g)
-    fmt = _fmt_from(ctx, fmt)
-    if fmt == "json":
-        payload = {
-            "graph": to_json_obj(res.derived),
-            "map": [[u, v, t] for (u, v), t in sorted(res.edge_to_vertex.items())],
-        }
-        _emit(json.dumps(payload, separators=(",", ":")), out)
-    else:
-        _emit(_render_graph(res.derived, fmt), out)
+    _emit_graph(ctx, fmt, out, res.derived, lambda: json.dumps({
+        "graph": to_json_obj(res.derived),
+        "map": [[u, v, t] for (u, v), t in sorted(res.edge_to_vertex.items())],
+    }, separators=(",", ":")))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +195,7 @@ def tlg_compute(ctx, graph_file, fmt, out):
 
 
 _BUILDERS = {
-    "bowtie": (0, lambda: make_bowtie()),
+    "bowtie": (0, make_bowtie),
     "fan": (1, make_fan),
     "strip": (1, make_triangle_strip),
     "wheel": (1, make_wheel),
@@ -193,7 +203,7 @@ _BUILDERS = {
     "sun": (1, make_sun),
     "binary-enforced-sun": (1, make_binary_enforced_sun),
     "wire": (1, make_wire),
-    "cluster": (2, lambda i, m: make_variable_cluster(i, m)),
+    "cluster": (2, make_variable_cluster),
     "clause": (0, lambda: join_clause(make_sun(12), make_sun(12), make_sun(12))),
 }
 
@@ -212,7 +222,6 @@ def gadget():
 @click.pass_context
 def gadget_build(ctx, kind, params, appendix_dir, fmt, out):
     """Emit a named gadget blueprint (see docs for kinds and parameters)."""
-    fmt = _fmt_from(ctx, fmt)
     if kind == "appendix-clause":
         bp = appendix_mod.load_appendix_clause_gadget(
             appendix_dir or ctx.obj.get("appendix_dir"))
@@ -226,14 +235,8 @@ def gadget_build(ctx, kind, params, appendix_dir, fmt, out):
         if len(params) != arity:
             raise click.ClickException(
                 f"gadget {kind!r} takes {arity} integer parameter(s)")
-        try:
-            bp = builder(*params)
-        except StructureError as exc:
-            raise click.ClickException(str(exc))
-    if fmt == "json":
-        _emit(bp.to_json(), out)
-    else:
-        _emit(_render_graph(bp.graph, fmt), out)
+        bp = builder(*params)
+    _emit_graph(ctx, fmt, out, bp.graph, bp.to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +253,21 @@ def preimage():
 @click.argument("graph_file")
 @_with_budget_options
 @_max_target_option
-@format_option
 @out_option
 @click.pass_context
 def preimage_solve(ctx, graph_file, time_budget, node_budget,
-                   max_target_vertices, fmt, out):
+                   max_target_vertices, out):
     """Brute-force preimage classes of a small target graph."""
     g = load_graph_file(graph_file)
     lim = _limits(ctx.obj, time_budget, node_budget, max_target_vertices)
     try:
         found = brute_force_preimages(g, lim)
     except BudgetExceededError as exc:
-        click.echo(json.dumps({"status": "UNKNOWN", "reason": str(exc)}))
-        sys.exit(EXIT_BUDGET)
-    payload = {
+        _emit_status({"status": "UNKNOWN", "reason": str(exc)}, out)
+    _emit_status({
         "status": "YES" if found else "NO",
         "classes": [w.to_json_obj() for w in found],
-    }
-    _emit(json.dumps(payload, separators=(",", ":")), out)
-    if not found:
-        sys.exit(EXIT_NEGATIVE)
+    }, out)
 
 
 @preimage.command("verify")
@@ -279,12 +277,11 @@ def preimage_verify(witness_file):
     with open(witness_file) as fh:
         w = PreimageWitness.from_json(fh.read())
     try:
-        ok = verify_certificate(w)
+        verdict = "VALID" if verify_certificate(w) else "INVALID"
     except CertificateError as exc:
-        click.echo(f"INVALID: {exc}")
-        sys.exit(EXIT_NEGATIVE)
-    click.echo("VALID" if ok else "INVALID")
-    if not ok:
+        verdict = f"INVALID: {exc}"
+    click.echo(verdict)
+    if verdict != "VALID":
         sys.exit(EXIT_NEGATIVE)
 
 
@@ -305,15 +302,8 @@ def _read_formula(cnf_file):
 @click.pass_context
 def reduce_cmd(ctx, cnf_file, fmt, out):
     """Compile a 3-CNF formula into its reduction graph."""
-    try:
-        r = compile_formula(_read_formula(cnf_file))
-    except StructureError as exc:
-        raise click.ClickException(str(exc))
-    fmt = _fmt_from(ctx, fmt)
-    if fmt == "json":
-        _emit(r.blueprint.to_json(), out)
-    else:
-        _emit(_render_graph(r.blueprint.graph, fmt), out)
+    r = compile_formula(_read_formula(cnf_file))
+    _emit_graph(ctx, fmt, out, r.blueprint.graph, r.blueprint.to_json)
 
 
 @main.command("decide")
@@ -326,20 +316,13 @@ def decide_cmd(ctx, cnf_file, max_vars, time_budget, node_budget, out):
     """Decide satisfiability through the compiled graph's preimages."""
     formula = _read_formula(cnf_file)
     lim = _limits(ctx.obj, time_budget, node_budget, None)
-    try:
-        res = decide_formula(formula, lim, max_vars=max_vars)
-    except StructureError as exc:
-        raise click.ClickException(str(exc))
+    res = decide_formula(formula, lim, max_vars=max_vars)
     payload = {"status": res.status}
     if res.assignment is not None:
         payload["assignment"] = [int(b) for b in res.assignment]
     if res.reason:
         payload["reason"] = res.reason
-    _emit(json.dumps(payload, separators=(",", ":")), out)
-    if res.status == "UNSAT":
-        sys.exit(EXIT_NEGATIVE)
-    if res.status == "UNKNOWN":
-        sys.exit(EXIT_BUDGET)
+    _emit_status(payload, out)
 
 
 @main.command("witness")
@@ -357,16 +340,10 @@ def witness_cmd(cnf_file, assignment, out):
     if len(bits) != formula.variable_count:
         raise click.ClickException(
             f"assignment length {len(bits)} != {formula.variable_count} variables")
-    try:
-        r = compile_formula(formula)
-    except StructureError as exc:
-        raise click.ClickException(str(exc))
+    r = compile_formula(formula)
     try:
         w = witness_from_assignment(r, bits)
-    except UnsatisfyingAssignmentError as exc:
-        click.echo(str(exc), err=True)
-        sys.exit(EXIT_NEGATIVE)
-    except CertificateError as exc:
+    except (UnsatisfyingAssignmentError, CertificateError) as exc:
         click.echo(str(exc), err=True)
         sys.exit(EXIT_NEGATIVE)
     _emit(w.to_json(), out)
@@ -472,42 +449,30 @@ def check_lemmas(ctx, appendix_dir, time_budget, node_budget,
     if lim.time_budget is None:
         # each row is individually bounded so the battery always terminates
         lim.time_budget = 300.0
-    try:
-        rows = _check_lemma_battery(
-            appendix_dir or ctx.obj.get("appendix_dir"), lim)
-    except IntegrityError as exc:
-        click.echo(f"INTEGRITY ERROR: {exc}", err=True)
-        sys.exit(EXIT_INTERNAL)
+    rows = _check_lemma_battery(appendix_dir or ctx.obj.get("appendix_dir"), lim)
     width = max(len(name) for name, _, _ in rows)
     for name, status, detail in rows:
         click.echo(f"{status:7s} {name:<{width}s}  ({detail})")
-    statuses = {status for _, status, _ in rows}
-    if "FAIL" in statuses:
-        sys.exit(EXIT_NEGATIVE)
-    if "UNKNOWN" in statuses:
-        sys.exit(EXIT_BUDGET)
+    # a failed row outranks an unfinished one
+    worst = min((s for _, s, _ in rows), key=("FAIL", "UNKNOWN", "PASS").index)
+    sys.exit(_STATUS_EXIT[worst])
 
 
 def entry() -> None:  # pragma: no cover - thin wrapper
     try:
-        main(standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
+        sys.exit(main(standalone_mode=False))  # None, or the code of a click exit
     except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(EXIT_USAGE)
-    except (ParseError, OSError, UnicodeDecodeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+        message, code = exc.format_message(), EXIT_USAGE
+    except (ParseError, StructureError, OSError, UnicodeDecodeError) as exc:
+        message, code = exc, EXIT_USAGE
     except (BudgetExceededError, CapacityError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
+        message, code = exc, EXIT_BUDGET
     except TrilinError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INTERNAL)
+        message, code = exc, EXIT_INTERNAL
     except Exception as exc:  # a bug; exit 1 would read as a negative result
-        click.echo(f"error: internal error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(EXIT_INTERNAL)
+        message, code = f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

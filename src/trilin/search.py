@@ -380,18 +380,13 @@ class Glue:
     def ways(self, t, pair) -> tuple:
         """The ways (two atom identifications each) to merge a copy `pair`
         of target vertex t into t's placed edge: none when it is merged,
-        one when it shares a class with one end, both orientations when it
-        shares none (two parts meeting in a vertex but no triangle)."""
+        else both orientations.  Where the copy already shares a class with
+        one end, the opposite orientation merges the edge's two ends and
+        fails at once with a loop."""
         (p, q), (x, y) = pair, self.edge[t]
-        rp, rq, rx, ry = (self.find(z) for z in (p, q, x, y))
-        if {rp, rq} == {rx, ry}:
+        if {self.find(p), self.find(q)} == {self.find(x), self.find(y)}:
             return ()
-        straight, crossed = ((p, x), (q, y)), ((p, y), (q, x))
-        if rp == rx or rq == ry:
-            return (straight,)
-        if rp == ry or rq == rx:
-            return (crossed,)
-        return (straight, crossed)
+        return (((p, x), (q, y)), ((p, y), (q, x)))
 
     def witness(self) -> PreimageWitness:
         """The glued candidate and its edge map onto the target, not

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -82,6 +83,33 @@ def test_checksum_tamper_detected(tmp_path: Path):
     (alt / "clause_gadget.json").write_text(json.dumps(payload))
     with pytest.raises(IntegrityError):
         load_appendix_clause_gadget(alt)
+
+
+def _relabel_vertex_0(payload):
+    payload["graph"]["labels"]["0"] = "S1:99"
+
+
+def _map_to_unknown_label(payload):
+    payload["map"][0][2] = "S9:0"
+
+
+@pytest.mark.parametrize("name, tamper, message", [
+    ("clause_gadget.json", _relabel_vertex_0, "wrong label set"),
+    ("preimage_0wheels.json", _map_to_unknown_label, "unknown label"),
+])
+def test_tampered_data_with_matching_checksums_is_rejected(tmp_path: Path, name,
+                                                          tamper, message):
+    # the checksum is recomputed, so only the schema checks can catch it
+    alt = tmp_path / "data"
+    shutil.copytree(DATA_DIR, alt)
+    payload = json.loads((alt / name).read_text())
+    tamper(payload)
+    (alt / name).write_text(json.dumps(payload))
+    checks = json.loads((alt / "checksums.json").read_text())
+    checks[name] = hashlib.sha256((alt / name).read_bytes()).hexdigest()
+    (alt / "checksums.json").write_text(json.dumps(checks))
+    with pytest.raises(IntegrityError, match=message):
+        load_appendix_preimage(0, alt)
 
 
 def test_missing_data_dir_reports_integrity(tmp_path: Path):

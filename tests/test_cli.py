@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from trilin.gadgets import make_bowtie
-from trilin.graph import is_isomorphic, parse_json
+from trilin import cli
+from trilin.gadgets import make_bowtie, make_sun
+from trilin.graph import is_isomorphic, parse_json, to_json
 from trilin.operators import (
     PreimageWitness,
     triangular_line_graph,
@@ -22,6 +24,21 @@ SINGLE = "p cnf 3 1\n1 2 3 0\n"
 def run_cli(*args, env=None):
     cmd = [sys.executable, "-m", "trilin.cli", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
+
+def invoke(monkeypatch, capsys, *args, config=None):
+    """`trilin ARGS` run in this process through `entry()`, with TRILIN_CONFIG
+    set to `config`: (exit code, stdout, stderr)."""
+    monkeypatch.setattr(sys, "argv", ["trilin", *args])
+    if config is None:
+        monkeypatch.delenv("TRILIN_CONFIG", raising=False)
+    else:
+        monkeypatch.setenv("TRILIN_CONFIG", config)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        cli.entry()
+    out, err = capsys.readouterr()
+    return stop.value.code or 0, out, err
 
 
 @pytest.fixture()
@@ -260,3 +277,179 @@ def test_unexpected_exception_exits_internal(k4e_file):
     assert res.returncode == 4
     assert res.stderr.startswith("error:") and "boom" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("key, value, args, kind", [
+    ("node_budget", "x", ("decide", "f.cnf"), "an integer"),
+    ("node_budget", True, ("decide", "f.cnf"), "an integer"),
+    ("node_budget", 2.7, ("decide", "f.cnf"), "an integer"),
+    ("time_budget", [1], ("decide", "f.cnf"), "a number"),
+    ("max_target_vertices", "big", ("preimage", "solve", "edge.json"), "an integer"),
+    ("appendix_dir", 5, ("gadget", "build", "appendix-clause"), "a string"),
+    ("format", 3, ("reduce", "f.cnf"), "a string"),
+], ids=["node_str", "node_bool", "node_float", "time_list", "max_target_str",
+        "appendix_int", "format_int"])
+def test_malformed_config_values_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                                  key, value, args, kind):
+    monkeypatch.chdir(tmp_path)
+    Path("f.cnf").write_text(SINGLE)
+    Path("edge.json").write_text('{"n": 2, "edges": [[0, 1]]}')
+    Path("cfg.json").write_text(json.dumps({key: value}))
+    code, out, err = invoke(monkeypatch, capsys, *args, config="cfg.json")
+    assert (code, out) == (2, "")
+    assert err == f"error: config file cfg.json: {key} must be {kind}, got {value!r}\n"
+
+
+# each file the transcript reads, by name; the witness files are written by
+# the test from the operator's own witness
+TRANSCRIPT_FILES = {
+    "k4e.edges": "# n 4\n0 1\n0 2\n0 3\n1 2\n1 3\n",
+    "p3.edges": "0 1\n1 2\n",
+    "bad.json": '{"n": "5", "edges": []}',
+    "bowtie.json": '{"n": 5, "edges": [[0, 1], [0, 2], [1, 2], [0, 3], [0, 4], [3, 4]]}',
+    "edge.json": '{"n": 2, "edges": [[0, 1]]}',
+    "f.cnf": SINGLE,
+    "bad.cnf": "p cnf 3 1\n1 2 3\n",
+    "empty.cnf": "p cnf 3 0\n",
+    "edgelist.cfg": '{"format": "edgelist"}',
+    "yaml.cfg": '{"format": "yaml"}',
+    "list.cfg": "[1]",
+    "broken.cfg": "{",
+    "budget1.cfg": '{"node_budget": 1}',
+}
+
+# (arguments, config file, exit code, SHA-256 prefix of stdout followed by
+# what --out wrote, first stderr line)
+TRANSCRIPT = [
+    (("tlg", "compute", "k4e.edges"), None, 0, "6653be4ade39389a", ""),
+    (("tlg", "compute", "k4e.edges", "--format", "edgelist"), None,
+     0, "10d524e6872e9cff", ""),
+    (("tlg", "compute", "k4e.edges", "--format", "dot"), None,
+     0, "63ce9f7fd31a1b25", ""),
+    (("tlg", "compute", "k4e.edges", "--format", "edgelist", "--out", "out.txt"), None,
+     0, "90fcbac059b532a8", ""),
+    (("tlg", "compute", "p3.edges"), None, 0, "23ce801f8119cc27", ""),
+    (("tlg", "compute", "nosuch.edges"), None,
+     2, "e3b0c44298fc1c14",
+     "error: [Errno 2] No such file or directory: 'nosuch.edges'"),
+    (("tlg", "compute", "bad.json"), None,
+     2, "e3b0c44298fc1c14", "error: bad graph JSON: n must be an integer"),
+    (("tlg", "compute", "k4e.edges"), "edgelist.cfg", 0, "10d524e6872e9cff", ""),
+    (("tlg", "compute", "k4e.edges", "--format", "dot"), "edgelist.cfg",
+     0, "63ce9f7fd31a1b25", ""),
+    (("tlg", "compute", "k4e.edges"), "yaml.cfg",
+     2, "e3b0c44298fc1c14", "error: unknown format 'yaml'"),
+    (("tlg", "compute", "k4e.edges"), "list.cfg",
+     2, "e3b0c44298fc1c14", "error: config file list.cfg must hold an object"),
+    (("tlg", "compute", "k4e.edges"), "broken.cfg",
+     2, "e3b0c44298fc1c14",
+     "error: bad config file broken.cfg: Expecting property name enclosed in "
+     "double quotes: line 1 column 2 (char 1)"),
+    (("gadget", "build", "bowtie"), None, 0, "68d5ff96bd13a997", ""),
+    (("gadget", "build", "sun", "7", "--format", "dot"), None,
+     0, "b058bf6cf3114608", ""),
+    (("gadget", "build", "cluster", "0", "1", "--format", "edgelist"), None,
+     0, "2471bd554dff315c", ""),
+    (("gadget", "build", "clause", "--format", "edgelist"), None,
+     0, "7f2e0c50a2c6c168", ""),
+    (("gadget", "build", "no-such-kind"), None,
+     2, "e3b0c44298fc1c14",
+     "error: unknown gadget kind 'no-such-kind'; choose from ['binary-enforced-"
+     "sun', 'bowtie', 'clause', 'cluster', 'fan', 'squared-cycle', 'strip', 'sun',"
+     " 'wheel', 'wire', 'appendix-clause']"),
+    (("gadget", "build", "sun"), None,
+     2, "e3b0c44298fc1c14", "error: gadget 'sun' takes 1 integer parameter(s)"),
+    (("gadget", "build", "wheel", "2"), None,
+     2, "e3b0c44298fc1c14", "error: wheel needs k >= 4, got 2"),
+    (("gadget", "build", "appendix-clause"), None, 0, "e7a38f82a5e16632", ""),
+    (("gadget", "build", "appendix-clause", "--appendix-dir", "nodir"), None,
+     4, "e3b0c44298fc1c14",
+     "error: cannot read appendix data: [Errno 2] No such file or directory: "
+     "'nodir/clause_gadget.json'"),
+    (("gadget", "build", "sun", "7"), "yaml.cfg",
+     2, "e3b0c44298fc1c14", "error: unknown format 'yaml'"),
+    (("preimage", "solve", "bowtie.json"), None, 0, "edcc2a06030f7869", ""),
+    (("preimage", "solve", "bowtie.json", "--out", "out.txt"), None,
+     0, "edcc2a06030f7869", ""),
+    (("preimage", "solve", "edge.json"), None, 1, "752922fed0628ae8", ""),
+    (("preimage", "solve", "sun7.json", "--node-budget", "5"), None,
+     3, "ad846c3788d91f51", ""),
+    (("preimage", "solve", "sun7.json", "--node-budget", "5", "--out", "out.txt"), None,
+     3, "ad846c3788d91f51", ""),
+    (("preimage", "solve", "bowtie.json", "--max-target-vertices", "3"), None,
+     3, "e3b0c44298fc1c14", "error: target has 5 vertices, over the limit 3"),
+    (("preimage", "solve", "bowtie.json", "--format", "json"), None,
+     2, "e3b0c44298fc1c14", "error: No such option '--format'. Did you mean '--out'?"),
+    (("preimage", "verify", "w.json"), None, 0, "de545cc7e7ff8eaa", ""),
+    (("preimage", "verify", "tampered.json"), None, 1, "d9a5d1326f6b4a63", ""),
+    (("preimage", "verify", "float_map.json"), None,
+     2, "e3b0c44298fc1c14",
+     "error: bad witness JSON: map entries must be integer triples"),
+    (("reduce", "f.cnf"), None, 0, "c7e46a1436062e51", ""),
+    (("reduce", "f.cnf", "--format", "edgelist", "--out", "out.txt"), None,
+     0, "9a9e223834bf3f5e", ""),
+    (("reduce", "bad.cnf"), None,
+     2, "e3b0c44298fc1c14", "error: last clause not 0-terminated"),
+    (("reduce", "empty.cnf"), None,
+     2, "e3b0c44298fc1c14", "error: formula has no clauses"),
+    (("reduce", "f.cnf"), "yaml.cfg",
+     2, "e3b0c44298fc1c14", "error: unknown format 'yaml'"),
+    (("decide", "f.cnf"), None, 1, "00c11b8b7538a806", ""),
+    (("decide", "f.cnf", "--node-budget", "1"), None, 3, "7f9dfabe58790d30", ""),
+    (("decide", "f.cnf"), "budget1.cfg", 3, "7f9dfabe58790d30", ""),
+    (("decide", "f.cnf", "--max-vars", "2"), None,
+     2, "e3b0c44298fc1c14",
+     "error: refusing 3-variable formula (guard 2); the decision procedure is "
+     "exponential"),
+    (("decide", "empty.cnf"), None,
+     2, "e3b0c44298fc1c14", "error: formula has no clauses"),
+    (("witness", "f.cnf", "000"), None,
+     1, "e3b0c44298fc1c14", "assignment does not satisfy clause 1"),
+    (("witness", "f.cnf", "111"), None,
+     1, "e3b0c44298fc1c14",
+     "no preimage realizes the prescribed choices: the enforced 12-sun has no "
+     "squared-cycle-side preimage, required at x1/V2/sun12 (and 2 more)"),
+    (("witness", "f.cnf", "10"), None,
+     2, "e3b0c44298fc1c14", "error: assignment length 2 != 3 variables"),
+    (("witness", "f.cnf", "1x1"), None,
+     2, "e3b0c44298fc1c14", "error: assignment must be 0/1 digits, got '1x1'"),
+    (("check", "lemmas", "--node-budget", "50"), None, 3, "429ad57c22eabf40", ""),
+    (("check", "lemmas", "--node-budget", "50", "--appendix-dir", "nodir"), None,
+     4, "e3b0c44298fc1c14",
+     "error: cannot read appendix data: [Errno 2] No such file or directory: "
+     "'nodir/clause_gadget.json'"),
+]
+
+
+def write_transcript_files(directory: Path) -> None:
+    for name, text in TRANSCRIPT_FILES.items():
+        (directory / name).write_text(text)
+    (directory / "sun7.json").write_text(to_json(make_sun(7).graph))
+    w = witness_of_operator(triangular_line_graph(parse_json(
+        '{"n": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3]]}')))
+    (directory / "w.json").write_text(w.to_json())
+    obj = json.loads(w.to_json())
+    obj["candidate"]["edges"] = obj["candidate"]["edges"][1:]
+    (directory / "tampered.json").write_text(json.dumps(obj))
+    obj = json.loads(w.to_json())
+    obj["map"][0][2] = 0.5
+    (directory / "float_map.json").write_text(json.dumps(obj))
+
+
+def transcript_digest(out: str, directory: Path) -> str:
+    written = directory / "out.txt"
+    if written.exists():
+        out += written.read_text()
+        written.unlink()
+    return hashlib.sha256(out.encode()).hexdigest()[:16]
+
+
+def test_cli_transcript(tmp_path, monkeypatch, capsys):
+    # every command, format, config key and error class, in one table
+    monkeypatch.chdir(tmp_path)
+    write_transcript_files(tmp_path)
+    for args, config, code, digest, first_err in TRANSCRIPT:
+        got_code, out, err = invoke(monkeypatch, capsys, *args, config=config)
+        first = (err.splitlines() or [""])[0]
+        got = (got_code, transcript_digest(out, tmp_path), first)
+        assert got == (code, digest, first_err), (args, config)

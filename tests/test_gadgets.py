@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 import trilin.gadgets as gadgets
@@ -186,6 +188,9 @@ def test_join_requires_bowtie_roles():
     sun = designate_attachments(make_sun(7))
     with pytest.raises(StructureError):
         attach_equal(sun, "cycle", sun, "root")
+    # the wire's H0 exists but is a 7-sun unit
+    with pytest.raises(StructureError, match="is not a bowtie"):
+        attach_equal(make_wire(1), "H0", sun, "root")
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +289,12 @@ def test_join_clause_requires_degree_two_apex():
     # wheel lacks the attachment roles entirely
     with pytest.raises(StructureError):
         join_clause(make_wheel(12), make_sun(12), make_sun(12))
+    # the a-triangle listed apex first leaves a cycle vertex (degree 4) third
+    sun = make_sun(12)
+    c0, c1, a0 = sun.roles["a_triangle"]
+    rotated = dataclasses.replace(sun, roles={**sun.roles, "a_triangle": (a0, c0, c1)})
+    with pytest.raises(StructureError, match="degree 2"):
+        join_clause(rotated, make_sun(12), make_sun(12))
 
 
 def test_assembly_identify_merges_labels():

@@ -6,7 +6,7 @@ import random
 import networkx as nx
 import pytest
 
-from trilin.errors import GraphConstructionError, ParseError
+from trilin.errors import CapacityError, GraphConstructionError, ParseError
 from trilin.gadgets import make_sun, make_wheel
 from trilin.graph import (
     Graph,
@@ -181,6 +181,11 @@ def test_canonical_form_separates_same_degree_sequence():
     assert not is_isomorphic(c6, two_tris)
 
 
+def test_canonical_form_refuses_graphs_over_its_cap():
+    with pytest.raises(CapacityError, match="limited to 32 vertices"):
+        canonical_form(Graph(33, []))
+
+
 def relabeled(g: Graph, rng: random.Random) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
@@ -207,6 +212,12 @@ def differential_pairs(name: str) -> list[tuple[Graph, Graph]]:
     """Pairs to compare against networkx: a graph with a relabeling of it
     and, for the seeded random graphs, with another graph of the same order."""
     rng = random.Random(2014)
+    if name == "cubic":
+        # cubic graphs on 12 vertices; seeds 0, 7, 8, 12 and 17 reach the
+        # canonical search's bound prune, which no other input here does
+        gs = [Graph(12, list(nx.random_regular_graph(3, 12, seed=s).edges()))
+              for s in range(20)]
+        return [(g, relabeled(g, rng)) for g in gs] + list(zip(gs, gs[1:]))
     if name != "random":
         g = NAMED_GRAPHS[name]
         return [(g, relabeled(g, rng)), (g, g)]
@@ -218,7 +229,7 @@ def differential_pairs(name: str) -> list[tuple[Graph, Graph]]:
     return pairs
 
 
-@pytest.mark.parametrize("name", ["random", *NAMED_GRAPHS])
+@pytest.mark.parametrize("name", ["random", "cubic", *NAMED_GRAPHS])
 def test_isomorphism_agrees_with_networkx(name):
     def is_map(m, g1, g2):
         return (sorted(m) == list(range(g1.n)) and sorted(m.values()) == list(range(g2.n))
@@ -265,8 +276,10 @@ def test_json_round_trip_with_labels():
     '{"n": 3, "edges": [[false, 1]]}',
     '{"n": 3, "edges": [], "labels": {"a": "x"}}',
     '{"n": 3, "edges": [], "labels": {"0": 7}}',
+    '{"n": 3, "edges": [], "labels": {"5": "x"}}',
+    '{"n": 3, "edges": [], "labels": {"0": "x", "1": "x"}}',
 ], ids=["n_string", "n_float", "n_bool", "edge_triple", "endpoint_string",
-        "endpoint_bool", "label_key", "label_value"])
+        "endpoint_bool", "label_key", "label_value", "label_vertex", "label_twice"])
 def test_parse_json_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_json(text)
@@ -279,6 +292,10 @@ def test_parse_edgelist_errors():
         parse_edgelist("# n 3\n0 5\n")
     with pytest.raises(ParseError):
         parse_edgelist("2 2\n")
+    with pytest.raises(ParseError, match="bad vertex count"):
+        parse_edgelist("# n x\n0 1\n")
+    with pytest.raises(ParseError, match="negative vertex id"):
+        parse_edgelist("0 -1\n")
 
 
 def test_to_dot_mentions_all_edges():

@@ -155,7 +155,15 @@ def test_witness_rejects_non_bijection():
     w = witness_of_operator(triangular_line_graph(g))
     bad = dict(w.edge_to_vertex)
     bad[(0, 1)] = bad[(0, 2)]
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="not injective"):
+        verify_certificate(PreimageWitness(w.target, w.candidate, bad))
+    bad = dict(w.edge_to_vertex)
+    del bad[(0, 1)]
+    with pytest.raises(CertificateError, match="domain"):
+        verify_certificate(PreimageWitness(w.target, w.candidate, bad))
+    bad = dict(w.edge_to_vertex)
+    bad[(0, 1)] = 5
+    with pytest.raises(CertificateError, match="cover"):
         verify_certificate(PreimageWitness(w.target, w.candidate, bad))
 
 

@@ -13,6 +13,7 @@ from trilin.errors import (
     StructureError,
     UnsatisfyingAssignmentError,
 )
+from trilin import reduction
 from trilin.gadgets import Assembly
 from trilin.graph import every_edge_in_unique_triangle
 from trilin.operators import verify_certificate
@@ -68,6 +69,7 @@ def test_parse_clause_spanning_lines():
     "p cnf 3 1\np cnf 3 1\n1 2 3 0\n",  # duplicate header
     "p cnf 3 1\nx y z 0\n",            # junk literal
     "p cnf -2 0\n",                     # negative variable count
+    "p cnf x 1\n",                      # non-integer variable count
 ])
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
@@ -266,6 +268,30 @@ def test_decide_budget_holds_across_assignments():
     res = decide(parse_dimacs(SINGLE), SearchLimits(node_budget=48), enforce=13)
     assert res.status == "UNKNOWN"
     assert "budget" in res.reason.lower()
+
+
+@pytest.mark.parametrize("enforce, status, assignment, failures", [
+    (13, "UNSAT", None, 7),
+    (14, "SAT", (True, True, True), 6),
+])
+def test_decide_tries_the_next_assignment_after_a_failed_glue(
+        monkeypatch, enforce, status, assignment, failures):
+    # at 13 all 7 satisfying assignments fail to glue; at 14 the first 6 do
+    # and (1, 1, 1), the last in lexicographic order, glues
+    failed = []
+    glue = reduction.glue_templates
+
+    def counting_glue(*args):
+        try:
+            return glue(*args)
+        except CertificateError:
+            failed.append(args)
+            raise
+
+    monkeypatch.setattr(reduction, "glue_templates", counting_glue)
+    res = decide(parse_dimacs(SINGLE), enforce=enforce)
+    assert (res.status, res.assignment) == (status, assignment)
+    assert len(failed) == failures
 
 
 def test_decide_tap_check_ticks_the_decision_budget():

@@ -153,6 +153,9 @@ def test_seven_sun_brute_force_two_classes():
 def test_budget_raises_cleanly():
     with pytest.raises(BudgetExceededError):
         brute_force_preimages(make_sun(7).graph, SearchLimits(node_budget=10))
+    # the clock is read every 256 nodes; the 7-sun search takes 1,422
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        brute_force_preimages(make_sun(7).graph, SearchLimits(time_budget=1e-9))
 
 
 PENDANT = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])  # triangle plus a pendant
@@ -429,6 +432,16 @@ def test_vertex_outside_every_unit_is_a_structure_error():
         template_solve(bp)
     with pytest.raises(StructureError, match="vertex 14"):
         glue_templates(bp, {"S": WHEEL})
+    # two 7-suns S (0..13) and T (14..27), and a triangle (0, 14, 15) with a
+    # vertex in each of them but inside neither
+    shifted = [(u + 14, v + 14) for u, v in sun.graph.edges]
+    graph = Graph(28, list(sun.graph.edges) + shifted + [(0, 14), (0, 15)])
+    bp = GadgetBlueprint(graph, "host", {}, {
+        "S": SubGadget(sun.kind, tuple(range(14)), dict(sun.roles)),
+        "T": SubGadget(sun.kind, tuple(range(14, 28)),
+                       {r: tuple(v + 14 for v in vs) for r, vs in sun.roles.items()})})
+    with pytest.raises(StructureError, match=r"triangle \(0, 14, 15\)"):
+        template_solve(bp)
 
 
 @pytest.mark.parametrize("build, pin, nodes", [
