@@ -198,6 +198,13 @@ def _closure(start: Iterable, step) -> set:
     return seen
 
 
+def _find(parent: list[int], x: int) -> int:
+    """The root of x's class in the union-find `parent`, halving the path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
 def _canonical_labeling(g: Graph) -> tuple[bytes, list[int], list[tuple[int, ...]]]:
     """Individualization-refinement search for the lexicographically minimal
     adjacency bit matrix over orderings compatible with color refinement.
@@ -207,6 +214,8 @@ def _canonical_labeling(g: Graph) -> tuple[bytes, list[int], list[tuple[int, ...
     A child in the orbit of a child already tried, under the automorphisms
     found so far that fix the node's prefix pointwise, is skipped (McKay &
     Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60 (2014)).
+    Each node keeps those orbits in a union-find over the vertices and adds
+    to it only the automorphisms found since its previous child.
     """
     n, adj = g.n, g.adj
     tri = triangle_count_per_vertex(g)
@@ -241,13 +250,22 @@ def _canonical_labeling(g: Graph) -> tuple[bytes, list[int], list[tuple[int, ...
                 autos.append(tuple(auto))
             return
         i = len(order)
-        target, tried, fixing, checked = cells[i], [], [], 0
+        # orbits: a union-find; tried: the roots of the tried children's orbits
+        target, orbits, tried, checked = cells[i], list(range(n)), set(), 0
         for v in sorted(target):
-            fixing += [a for a in autos[checked:] if all(a[u] == u for u in order)]
+            for a in autos[checked:]:
+                if all(a[u] == u for u in order):
+                    for x, y in enumerate(a):
+                        rx, ry = _find(orbits, x), _find(orbits, y)
+                        if rx != ry:
+                            orbits[rx] = ry
+                            if rx in tried:
+                                tried.add(ry)
             checked = len(autos)
-            if v in _closure(tried, lambda x: (a[x] for a in fixing)):
+            root = _find(orbits, v)
+            if root in tried:
                 continue
-            tried.append(v)
+            tried.add(root)
             search(cells[:i] + [[v], [w for w in target if w != v]] + cells[i + 1:],
                    order, rows)
 

@@ -34,7 +34,7 @@ SQUARED_CYCLE = "SQUARED_CYCLE"
 @dataclass
 class SearchLimits:
     max_target_vertices: int = 16
-    time_budget: float | None = None  # seconds
+    time_budget: float | None = None  # seconds, read every 256 nodes; None: no limit
     node_budget: int | None = None
 
 
@@ -43,7 +43,7 @@ class _Budget:
         self.nodes = 0
         self.node_budget = limits.node_budget
         self.deadline = (time.monotonic() + limits.time_budget
-                         if limits.time_budget else None)
+                         if limits.time_budget is not None else None)
 
     def tick(self):
         self.nodes += 1
@@ -214,11 +214,17 @@ def brute_force_preimages(h: Graph, limits: SearchLimits | None = None) -> list[
     """All preimage isomorphism classes of h, one verifying witness each.
 
     Complete within the candidate-vertex bound 2|V(h)|, which no preimage
-    can exceed.  Empty list means h has no preimage at all.
+    can exceed.  Empty list means h has no preimage at all.  Each distinct
+    candidate is canonized once: a leaf's candidate has no isolated slot, so
+    its edge set, as a bitmask over slot pairs, determines it.
     """
     seen: dict[bytes, PreimageWitness] = {}
+    forms: dict[int, bytes] = {}
     for w in _certified_witnesses(h, limits):
-        seen.setdefault(canonical_form(w.candidate), w)
+        key = sum(1 << (b * (b - 1) // 2 + a) for a, b in w.candidate.edges)
+        if (form := forms.get(key)) is None:
+            form = forms[key] = canonical_form(w.candidate)
+        seen.setdefault(form, w)
     return [seen[k] for k in sorted(seen)]
 
 

@@ -119,6 +119,15 @@ def test_preimage_solve_budget_unknown(tmp_path):
     res = run_cli("preimage", "solve", str(target), "--node-budget", "5")
     assert res.returncode == 3
     assert json.loads(res.stdout)["status"] == "UNKNOWN"
+    # a time budget of 0 is spent, from the flag or the config file alike
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"time_budget": 0}))
+    for res in (run_cli("preimage", "solve", str(target), "--time-budget", "0"),
+                run_cli("preimage", "solve", str(target),
+                        env=dict(os.environ, TRILIN_CONFIG=str(cfg)))):
+        assert res.returncode == 3
+        assert json.loads(res.stdout) == {"status": "UNKNOWN",
+                                          "reason": "time budget exhausted"}
 
 
 def test_preimage_verify_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from trilin.errors import CapacityError, GraphConstructionError, ParseError
 from trilin.gadgets import make_sun, make_wheel
 from trilin.graph import (
     Graph,
+    _canonical_labeling,
     all_isomorphisms,
     build_graph,
     canonical_form,
@@ -253,6 +255,28 @@ def test_isomorphism_agrees_with_networkx(name):
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
+
+
+def canonical_search_corpus() -> list[Graph]:
+    """1,532 graphs: seeded G(n, p) with n <= 12, the edgeless graphs on
+    1..12 vertices, and the 20 cubic graphs of `differential_pairs`."""
+    rng = random.Random(2014)
+    gs = [random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9))
+          for _ in range(1500)]
+    gs += [Graph(n, []) for n in range(1, 13)]
+    return gs + [g for g, _ in differential_pairs("cubic")[:20]]
+
+
+def test_canonical_search_output_is_pinned():
+    # the whole output of the search, automorphisms included: pruning by
+    # automorphisms that do not fix the node's prefix keeps every form and
+    # order here but changes the automorphisms found on hundreds of graphs
+    digest = hashlib.sha256()
+    for g in canonical_search_corpus():
+        form, order, autos = _canonical_labeling(g)
+        digest.update(form + repr((order, autos)).encode())
+    assert digest.hexdigest() == (
+        "e0898f7fb5d377795326d0a0691b1892918f9addfc6ee09a1d90909022f11a54")
 
 
 def test_edgelist_round_trip():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -156,6 +158,10 @@ def test_budget_raises_cleanly():
     # the clock is read every 256 nodes; the 7-sun search takes 1,422
     with pytest.raises(BudgetExceededError, match="time budget"):
         brute_force_preimages(make_sun(7).graph, SearchLimits(time_budget=1e-9))
+    # a budget of 0 seconds is a limit, not "no limit"; unbounded, this
+    # search runs for seconds to its 45 classes
+    with pytest.raises(BudgetExceededError, match="time budget"):
+        brute_force_preimages(Graph(6, []), SearchLimits(time_budget=0))
 
 
 PENDANT = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])  # triangle plus a pendant
@@ -191,6 +197,34 @@ def test_open_edge_pruning_builds_only_leaves_that_verify(monkeypatch):
     verdicts.clear()
     assert is_tlg_small(PENDANT) == ("NO", None)
     assert verdicts == []
+
+
+@pytest.mark.parametrize("build, calls, digest", [
+    (lambda: Graph(3, []), 15,
+     "dcbd483348e2ed202262198723e054102ef08af4e1a42d02b173ea5d8f2555bd"),
+    (lambda: Graph(4, []), 99,
+     "77627d81ae6ae2be439c92b5082b58c2e439d9336a271492f136bbca595fb6d1"),
+    (lambda: Graph(5, []), 813,
+     "ceea57eb52998bce0dd817954583da50a4f09bd52ad7833ba435de982ea48b48"),
+    (lambda: make_sun(7).graph, 4,
+     "49e848a771c5beca6bff05a13f1605ff3a84d0ce1ba39c8bf0924f538c4394cf"),
+], ids=["edgeless3", "edgeless4", "edgeless5", "sun7"])
+def test_oracle_canonizes_each_distinct_candidate_once(monkeypatch, build, calls, digest):
+    # canonizing every verified leaf took 17 / 149 / 1,829 / 4 calls; the
+    # witnesses kept, and their order, are those of that version
+    counted = []
+
+    def counting_form(g):
+        counted.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(search, "canonical_form", counting_form)
+    found = brute_force_preimages(build())
+    assert len(counted) == calls
+    assert len({frozenset(g.edges) for g in counted}) == calls
+    dump = json.dumps([[sorted(w.candidate.edges), sorted(w.edge_to_vertex.items())]
+                       for w in found])
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
