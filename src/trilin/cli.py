@@ -104,13 +104,19 @@ def _load_config() -> dict:
 
 
 def _limits(cfg: dict, time_budget, node_budget, max_target) -> SearchLimits:
-    """Each search limit from its flag, else the config file, else the default."""
+    """Each search limit from its flag, else the config file, else the
+    default.  A negative limit is a usage error; 0 is a bound."""
     lim = SearchLimits()
     flags = {"max_target_vertices": max_target, "time_budget": time_budget,
              "node_budget": node_budget}
     for key, flag in flags.items():
-        if (v := cfg.get(key) if flag is None else flag) is not None:
-            setattr(lim, key, v)
+        if (v := cfg.get(key) if flag is None else flag) is None:
+            continue
+        if v < 0:
+            where = (f"config file {os.environ.get('TRILIN_CONFIG')}: {key}"
+                     if flag is None else "--" + key.replace("_", "-"))
+            raise click.ClickException(f"{where} must be non-negative, got {v!r}")
+        setattr(lim, key, v)
     return lim
 
 
@@ -367,7 +373,7 @@ def _check_lemma_battery(appendix_dir, lim) -> list[tuple[str, str, str]]:
         try:
             ok, detail = fn()
             rows.append((name, "PASS" if ok else "FAIL", detail))
-        except BudgetExceededError as exc:
+        except (BudgetExceededError, CapacityError) as exc:
             rows.append((name, "UNKNOWN", str(exc)))
         except IntegrityError:
             raise

@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import ParseError, StructureError
-from .graph import Graph, _is_int, from_json_obj, to_json_obj
+from .graph import Graph, _find, _is_int, from_json_obj, to_json_obj
 
 EQUAL = "EQUAL"
 NOT = "NOT"
@@ -208,22 +208,15 @@ class Assembly:
 
     def build(self, kind: str, meta: dict | None = None) -> GadgetBlueprint:
         parent = list(range(self._n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for u, v in self._pairs:
-            ru, rv = find(u), find(v)
+            ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
                 parent[max(ru, rv)] = min(ru, rv)
         # every class is rooted at its least member, so new ids follow the roots
         vmap: list[int] = []
         labels: dict[int, str] = {}
         for v in range(self._n):
-            r = find(v)
+            r = _find(parent, v)
             if r == v:
                 vmap.append(len(labels))
                 labels[len(labels)] = self._labels[v]
@@ -286,13 +279,6 @@ def make_bowtie() -> GadgetBlueprint:
     roles = {"center": (0,), "t1": (1, 2), "t2": (3, 4)}
     _validate_bowtie(g, 0, (1, 2), (3, 4))
     return GadgetBlueprint(g, "bowtie", roles)
-
-
-def make_double_triangle() -> GadgetBlueprint:
-    """K4 minus an edge: 4 vertices, 5 edges; T of it is the bowtie."""
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)],
-              {0: "u", 1: "s1", 2: "s2", 3: "v"})
-    return GadgetBlueprint(g, "double_triangle", {"shared_edge": (1, 2)})
 
 
 def make_fan(k: int) -> GadgetBlueprint:

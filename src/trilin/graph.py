@@ -99,15 +99,6 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
-def build_graph(
-    vertex_count: int,
-    edges: Iterable[tuple[int, int]],
-    labels: Mapping[int, str] | None = None,
-) -> Graph:
-    """Validated construction; duplicate edge pairs are deduplicated."""
-    return Graph(vertex_count, edges, labels)
-
-
 def enumerate_triangles(g: Graph) -> list[tuple[int, int, int]]:
     """All 3-cliques, each exactly once, as sorted triples in sorted order."""
     adj = g.adj

@@ -1,8 +1,7 @@
 """The triangular line graph operator and its certificate machinery.
 
 T(G) has one vertex per edge of G; two are adjacent iff the edges share an
-endpoint and lie together in a triangle of G.  L is the classic line graph,
-and the Gallai graph is L(G) minus the edges of T(G).
+endpoint and lie together in a triangle of G.
 """
 
 from __future__ import annotations
@@ -53,31 +52,6 @@ def triangular_line_graph(g: Graph) -> TlgResult:
     """T(G): edges sharing an endpoint and a common triangle become adjacent."""
     e2v = _edge_vertex_order(g)
     return TlgResult(g, Graph(len(e2v), _triangle_pairs(g, e2v)), e2v)
-
-
-def line_graph(g: Graph) -> TlgResult:
-    """Classic line graph with the same bijection bookkeeping as T."""
-    e2v = _edge_vertex_order(g)
-    adj = g.adj
-    derived_edges = []
-    for e1, i in e2v.items():
-        u, v = e1
-        for x, y in ((u, v), (v, u)):
-            for w in adj[x]:
-                if w == y:
-                    continue
-                j = e2v[_norm_edge(x, w)]
-                if j > i:
-                    derived_edges.append((i, j))
-    derived = Graph(len(e2v), derived_edges)
-    return TlgResult(g, derived, e2v)
-
-
-def gallai_graph(g: Graph) -> Graph:
-    """Line graph edges that do not come from a triangle of g."""
-    lg = line_graph(g).derived
-    tg = triangular_line_graph(g).derived
-    return Graph(lg.n, lg.edges - tg.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -215,70 +189,3 @@ def _restrict(w: PreimageWitness, s: list[int]) -> PreimageWitness:
     }
     return PreimageWitness(target_sub, candidate, mapping)
 
-
-# ---------------------------------------------------------------------------
-# Le's characterization
-# ---------------------------------------------------------------------------
-
-LeFamily = list[frozenset[int]]
-
-
-def le_family_from_preimage(w: PreimageWitness) -> LeFamily:
-    """One member per candidate vertex of degree >= 1: the target vertices
-    that are images of its incident edges."""
-    if not verify_certificate(w):
-        raise CertificateError("witness does not verify")
-    members = []
-    for v in range(w.candidate.n):
-        incident = [e for e in w.candidate.sorted_edges if v in e]
-        if incident:
-            members.append(frozenset(w.edge_to_vertex[e] for e in incident))
-    return members
-
-
-def check_le_family(h: Graph, family: LeFamily) -> bool:
-    """Literal check of the four characterization conditions."""
-    for member in family:
-        for v in member:
-            if not (0 <= v < h.n):
-                raise StructureError(f"family member vertex {v} not in graph")
-    # (1) every vertex appears in exactly two members
-    cover = [0] * h.n
-    for member in family:
-        for v in member:
-            cover[v] += 1
-    if any(c != 2 for c in cover):
-        return False
-    # (2) every edge appears (both endpoints) in exactly one member
-    for u, v in h.edges:
-        hits = sum(1 for member in family if u in member and v in member)
-        if hits != 1:
-            return False
-    # (3) pairwise intersections have at most one vertex
-    k = len(family)
-    inter = [[family[i] & family[j] for j in range(k)] for i in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if len(inter[i][j]) > 1:
-                return False
-    # (4) literal reading over distinct ordered triples (i, j, k)
-    for i in range(k):
-        for j in range(k):
-            if j == i:
-                continue
-            for kk in range(k):
-                if kk == i or kk == j:
-                    continue
-                ik = inter[i][kk] if i < kk else inter[kk][i]
-                jk = inter[j][kk] if j < kk else inter[kk][j]
-                if len(ik) != 1 or len(jk) != 1:
-                    continue
-                (vi,) = ik
-                (vj,) = jk
-                if vi == vj:
-                    continue
-                have_edge = h.has_edge(vi, vj)
-                overlap = bool(inter[i][j] if i < j else inter[j][i])
-                if have_edge != overlap:
-                    return False
-    return True

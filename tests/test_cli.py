@@ -128,6 +128,9 @@ def test_preimage_solve_budget_unknown(tmp_path):
         assert res.returncode == 3
         assert json.loads(res.stdout) == {"status": "UNKNOWN",
                                           "reason": "time budget exhausted"}
+    res = run_cli("preimage", "solve", str(target), "--max-target-vertices", "-1")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: --max-target-vertices must be non-negative, got -1\n"
 
 
 def test_preimage_verify_round_trip(tmp_path):
@@ -192,6 +195,12 @@ def test_decide_exit_codes(tmp_path):
     assert json.loads(res.stdout)["status"] == "UNKNOWN"
     res = run_cli("decide", str(sat), "--max-vars", "2")
     assert res.returncode == 2
+    # a negative budget is a usage error; 0 is a bound
+    for flag, value, shown in (("--node-budget", "-5", "-5"),
+                               ("--time-budget", "-1", "-1.0")):
+        res = run_cli("decide", str(sat), flag, value)
+        assert (res.returncode, res.stdout) == (2, "")
+        assert res.stderr == f"error: {flag} must be non-negative, got {shown}\n"
 
 
 def test_max_target_vertices_only_on_oracle_commands(tmp_path):
@@ -242,6 +251,12 @@ def test_check_lemmas_under_tiny_budget_reports_unknown():
     assert res.returncode == 3
     assert "UNKNOWN" in res.stdout
     assert "PASS" in res.stdout
+    # a target over the oracle's cap leaves its row unknown, not failed
+    res = run_cli("check", "lemmas", "--node-budget", "50",
+                  "--max-target-vertices", "5")
+    assert res.returncode == 3 and "FAIL" not in res.stdout
+    assert res.stdout.startswith("UNKNOWN 7-sun has exactly two preimages ")
+    assert "(target has 14 vertices, over the limit 5)" in res.stdout
 
 
 def test_malformed_graph_json_is_a_usage_error(tmp_path):
@@ -296,8 +311,12 @@ def test_unexpected_exception_exits_internal(k4e_file):
     ("max_target_vertices", "big", ("preimage", "solve", "edge.json"), "an integer"),
     ("appendix_dir", 5, ("gadget", "build", "appendix-clause"), "a string"),
     ("format", 3, ("reduce", "f.cnf"), "a string"),
+    ("node_budget", -5, ("decide", "f.cnf"), "non-negative"),
+    ("time_budget", -0.5, ("decide", "f.cnf"), "non-negative"),
+    ("max_target_vertices", -1, ("preimage", "solve", "edge.json"), "non-negative"),
 ], ids=["node_str", "node_bool", "node_float", "time_list", "max_target_str",
-        "appendix_int", "format_int"])
+        "appendix_int", "format_int", "node_negative", "time_negative",
+        "max_target_negative"])
 def test_malformed_config_values_are_usage_errors(tmp_path, monkeypatch, capsys,
                                                   key, value, args, kind):
     monkeypatch.chdir(tmp_path)

@@ -15,7 +15,6 @@ from trilin.gadgets import (
     join_clause,
     make_binary_enforced_sun,
     make_bowtie,
-    make_double_triangle,
     make_fan,
     make_large_variable_gadget,
     make_squared_cycle,
@@ -52,12 +51,6 @@ def test_bowtie_shape():
     assert len(enumerate_triangles(g)) == 2
     degs = sorted(g.degree(v) for v in range(g.n))
     assert degs == [2, 2, 2, 2, 4]
-
-
-def test_double_triangle_is_k4_minus_edge():
-    g = make_double_triangle().graph
-    assert g.n == 4 and len(g.edges) == 5
-    assert is_isomorphic(triangular_line_graph(g).derived, make_bowtie().graph)
 
 
 def test_fan_and_strip_counts():

@@ -13,7 +13,6 @@ from trilin.graph import (
     Graph,
     _canonical_labeling,
     all_isomorphisms,
-    build_graph,
     canonical_form,
     enumerate_triangles,
     every_edge_in_unique_triangle,
@@ -79,12 +78,6 @@ def test_graph_equality_is_labeled():
     assert a == b
     assert hash(a) == hash(b)
     assert a != c
-
-
-def test_build_graph_helper():
-    g = build_graph(4, [(3, 1)])
-    assert g.has_edge(1, 3)
-    assert g.n == 4
 
 
 # ---------------------------------------------------------------------------

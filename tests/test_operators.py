@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 
+import networkx as nx
 import pytest
 
 from trilin.errors import CertificateError, ParseError, StructureError
@@ -11,11 +12,7 @@ from trilin.gadgets import make_bowtie, make_squared_cycle, make_sun, make_wheel
 from trilin.graph import Graph, enumerate_triangles, is_isomorphic
 from trilin.operators import (
     PreimageWitness,
-    check_le_family,
-    gallai_graph,
     is_triangle_induced,
-    le_family_from_preimage,
-    line_graph,
     restrict_preimage,
     triangular_line_graph,
     verify_certificate,
@@ -103,21 +100,27 @@ def test_wheel_and_squared_cycle_map_to_sun():
 
 
 def test_line_graph_and_gallai_partition():
-    # L(G) splits into the triangle part T(G) and the Gallai part
+    # L(G), built by networkx, splits into T(G), the pairs of edges whose far
+    # endpoints are adjacent, and the triangle-free Gallai part.  On the star
+    # K1,4, L is K4 and T is edgeless.
     rng = random.Random(5)
-    for _ in range(20):
-        g = random_graph(rng, rng.randint(1, 8))
-        lg = line_graph(g).derived
-        tg = triangular_line_graph(g).derived
-        gal = gallai_graph(g)
-        assert lg.edges == tg.edges | gal.edges
-        assert not (tg.edges & gal.edges)
-
-
-def test_line_graph_of_star_is_complete():
+    graphs = [random_graph(rng, rng.randint(1, 8)) for _ in range(20)]
     star = Graph(5, [(0, i) for i in range(1, 5)])
-    lg = line_graph(star).derived
-    assert lg.n == 4 and len(lg.edges) == 6
+    for g in graphs + [star]:
+        res = triangular_line_graph(g)
+        e2v = res.edge_to_vertex
+        far = {}  # each L(G) edge, as a T(G) vertex pair, -> its far endpoints
+        for e1, e2 in nx.line_graph(nx.Graph(g.sorted_edges)).edges:
+            (x,) = set(e1) & set(e2)
+            (y,), (z,) = set(e1) - {x}, set(e2) - {x}
+            a, b = e2v[tuple(sorted(e1))], e2v[tuple(sorted(e2))]
+            far[(min(a, b), max(a, b))] = (y, z)
+        triangle_part = {p for p, ends in far.items() if g.has_edge(*ends)}
+        assert res.derived.edges == triangle_part
+        gallai_part = far.keys() - res.derived.edges
+        assert not any(g.has_edge(*far[p]) for p in gallai_part)
+    # the star came last
+    assert len(far) == 6 and not res.derived.edges
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +307,3 @@ def test_sun_restrictions_of_wheel_and_cycle_witnesses():
         assert verify_certificate(restricted)
         assert is_isomorphic(restricted.candidate, bp.graph)
 
-
-# ---------------------------------------------------------------------------
-# The clique-family characterization
-# ---------------------------------------------------------------------------
-
-
-def test_le_family_accepts_operator_witness():
-    for g in (make_wheel(7).graph, make_squared_cycle(9).graph):
-        res = triangular_line_graph(g)
-        w = witness_of_operator(res)
-        family = le_family_from_preimage(w)
-        assert check_le_family(res.derived, family)
-
-
-def test_le_family_rejects_broken_family():
-    g = make_wheel(7).graph
-    res = triangular_line_graph(g)
-    family = le_family_from_preimage(witness_of_operator(res))
-    assert not check_le_family(res.derived, family[:-1])
