@@ -105,14 +105,14 @@ def _load_config() -> dict:
 
 def _limits(cfg: dict, time_budget, node_budget, max_target) -> SearchLimits:
     """Each search limit from its flag, else the config file, else the
-    default.  A negative limit is a usage error; 0 is a bound."""
+    default.  A negative or NaN limit is a usage error; 0 is a bound."""
     lim = SearchLimits()
     flags = {"max_target_vertices": max_target, "time_budget": time_budget,
              "node_budget": node_budget}
     for key, flag in flags.items():
         if (v := cfg.get(key) if flag is None else flag) is None:
             continue
-        if v < 0:
+        if not v >= 0:  # NaN too: a NaN deadline never passes
             where = (f"config file {os.environ.get('TRILIN_CONFIG')}: {key}"
                      if flag is None else "--" + key.replace("_", "-"))
             raise click.ClickException(f"{where} must be non-negative, got {v!r}")

@@ -12,8 +12,8 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .errors import ParseError, StructureError
-from .graph import Graph, _find, _is_int, from_json_obj, to_json_obj
+from .errors import StructureError
+from .graph import Graph, _find, to_json_obj
 
 EQUAL = "EQUAL"
 NOT = "NOT"
@@ -60,42 +60,6 @@ class GadgetBlueprint:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "GadgetBlueprint":
-        """The blueprint of a JSON object as to_json_obj writes it; anything
-        malformed, a vertex outside the graph included, is a ParseError."""
-        if not isinstance(obj, dict):
-            raise ParseError("bad blueprint JSON: not an object")
-        graph = from_json_obj(obj.get("graph"))
-        if len(set(_vertex_names(graph))) < graph.n:
-            raise ParseError("bad blueprint JSON: a label repeats another vertex's name")
-        kind, meta, subs = obj.get("kind", ""), obj.get("meta", {}), obj.get("sub_gadgets", {})
-        if not isinstance(kind, str) or not isinstance(meta, dict) \
-                or not isinstance(subs, dict):
-            raise ParseError("bad blueprint JSON: kind must be a string, meta and "
-                             "sub_gadgets objects")
-        if not all(isinstance(d, dict) and isinstance(d.get("kind"), str)
-                   for d in subs.values()):
-            raise ParseError("bad blueprint JSON: each sub-gadget needs a string kind")
-        return GadgetBlueprint(
-            graph, kind, _json_roles(obj.get("roles", {}), graph.n, "blueprint"),
-            {name: SubGadget(d["kind"], _json_vertices(d.get("vertices"), graph.n, name),
-                             _json_roles(d.get("roles"), graph.n, name))
-             for name, d in subs.items()},
-            meta)
-
-
-def _json_vertices(x, n: int, where: str) -> tuple[int, ...]:
-    if not isinstance(x, list) or not all(_is_int(v) and 0 <= v < n for v in x):
-        raise ParseError(f"bad blueprint JSON: {where!r} must list vertices of the graph")
-    return tuple(x)
-
-
-def _json_roles(x, n: int, where: str) -> dict[str, tuple[int, ...]]:
-    if not isinstance(x, dict):
-        raise ParseError(f"bad blueprint JSON: roles of {where!r} must be an object")
-    return {k: _json_vertices(v, n, f"{where}/{k}") for k, v in x.items()}
 
 
 def _vertex_names(g: Graph) -> list[str]:
@@ -439,11 +403,11 @@ def make_binary_enforced_sun(k: int) -> GadgetBlueprint:
 
 
 def _join(a: GadgetBlueprint, bowtie_a: str, b: GadgetBlueprint, bowtie_b: str,
-          mode: str, kind: str, prefix_a: str = "a", prefix_b: str = "b") -> GadgetBlueprint:
+          mode: str, kind: str) -> GadgetBlueprint:
     asm = Assembly()
-    asm.add(a, prefix_a)
-    asm.add(b, prefix_b)
-    asm.bowtie_join(f"{prefix_a}/{bowtie_a}", f"{prefix_b}/{bowtie_b}", mode)
+    asm.add(a, "a")
+    asm.add(b, "b")
+    asm.bowtie_join(f"a/{bowtie_a}", f"b/{bowtie_b}", mode)
     return asm.build(kind)
 
 
@@ -495,13 +459,13 @@ def make_large_variable_gadget(i: int, j: int, k: int = 12) -> GadgetBlueprint:
                            base.sub_gadgets, meta)
 
 
-def _add_cluster(asm: Assembly, prefix: str, i: int, m: int, k: int) -> None:
-    """Add variable i's cluster (see make_variable_cluster) with every path
+def _add_cluster(asm: Assembly, prefix: str, m: int, k: int) -> None:
+    """Add a variable's cluster (see make_variable_cluster) with every path
     under prefix, so a formula composes its clusters in one Assembly."""
     if m < 1:
         raise StructureError(f"variable cluster needs m >= 1, got {m}")
     _add_wire(asm, prefix, 2 * m)
-    tap = make_large_variable_gadget(i, 1, k)  # add copies no meta: one serves every tap
+    tap = make_large_variable_gadget(0, 1, k)  # add drops meta: one serves every tap
     for j in range(1, 2 * m + 1):
         asm.add(tap, f"{prefix}V{j}")
         asm.bowtie_join(f"{prefix}H{j}/equal", f"{prefix}V{j}/emb0/chain", EQUAL)
@@ -512,7 +476,7 @@ def make_variable_cluster(i: int, m: int, k: int = 12) -> GadgetBlueprint:
     EQUAL-joined to each of H_1..H_2m.  Tap j stores x_i when j is even and
     its complement when odd."""
     asm = Assembly()
-    _add_cluster(asm, "", i, m, k)
+    _add_cluster(asm, "", m, k)
     polarity = {j: ("pos" if j % 2 == 0 else "neg") for j in range(1, 2 * m + 1)}
     return asm.build("cluster", meta={"variable": i, "m": m, "polarity": polarity})
 

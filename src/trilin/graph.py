@@ -395,9 +395,9 @@ def parse_json(text: str) -> Graph:
     return from_json_obj(_loads(text))
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
+def to_dot(g: Graph) -> str:
     """DOT export for inspection; not re-parsed."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in range(g.n):
         label = g.labels.get(v) if g.labels else None
         if label is not None:

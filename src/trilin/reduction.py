@@ -163,7 +163,7 @@ def compile_formula(formula: CnfFormula, enforce: int = 12) -> ReductionOutput:
     roots: dict[int, str] = {}
     for i in range(formula.variable_count):
         prefix = f"x{i + 1}"
-        _add_cluster(asm, f"{prefix}/", i, m, enforce)
+        _add_cluster(asm, f"{prefix}/", m, enforce)
         roots[i] = f"{prefix}/H0"
     legs_by_clause: dict[int, tuple[str, str, str]] = {}
     for j, clause in enumerate(formula.clauses, start=1):

@@ -146,10 +146,11 @@ class _State:
         self.slots = slots
 
 
-def _candidate_edges_for(state: _State, h: Graph, tv: int, slot_cap: int):
+def _candidate_edges_for(state: _State, h: Graph, tv: int):
     """Pairs (a, b) the target vertex tv may be assigned, respecting the
     shared-endpoint constraint from already placed target neighbors and the
-    fresh-slot introduction order."""
+    fresh-slot introduction order.  A placement opens at most two slots, so
+    a leaf never uses more than 2|V(h)|."""
     placed_nbrs = [w for w in h.adj[tv] if w in state.assign]
     fresh = state.slots
     if placed_nbrs:
@@ -157,9 +158,8 @@ def _candidate_edges_for(state: _State, h: Graph, tv: int, slot_cap: int):
         # enumerate pairs anchored at endpoints of one neighbor edge
         anchor = set(state.assign[placed_nbrs[0]])
         opts = set()
-        others = list(range(state.slots)) + ([fresh] if fresh < slot_cap else [])
         for a in anchor:
-            for b in others:
+            for b in range(fresh + 1):
                 if a == b:
                     continue
                 pair = (min(a, b), max(a, b))
@@ -172,10 +172,8 @@ def _candidate_edges_for(state: _State, h: Graph, tv: int, slot_cap: int):
     for a in range(state.slots):
         for b in range(a + 1, state.slots):
             opts.append((a, b))
-        if fresh < slot_cap:
-            opts.append((a, fresh))
-    if fresh + 1 < slot_cap:
-        opts.append((fresh, fresh + 1))
+        opts.append((a, fresh))
+    opts.append((fresh, fresh + 1))
     return opts
 
 
@@ -187,7 +185,6 @@ def _certified_witnesses(h: Graph, limits: SearchLimits | None):
         raise CapacityError(
             f"target has {h.n} vertices, over the limit "
             f"{limits.max_target_vertices}")
-    slot_cap = 2 * h.n  # |V(h)| edges touch at most 2*|V(h)| vertices
     order = _target_order(h)
     state = _State()
     budget = _Budget(limits)
@@ -200,7 +197,7 @@ def _certified_witnesses(h: Graph, limits: SearchLimits | None):
                 yield w
             return
         tv = order[i]
-        for a, b in _candidate_edges_for(state, h, tv, slot_cap):
+        for a, b in _candidate_edges_for(state, h, tv):
             budget.tick()
             slots = state.slots
             if state.place(h, tv, a, b):
@@ -216,14 +213,13 @@ def brute_force_preimages(h: Graph, limits: SearchLimits | None = None) -> list[
     Complete within the candidate-vertex bound 2|V(h)|, which no preimage
     can exceed.  Empty list means h has no preimage at all.  Each distinct
     candidate is canonized once: a leaf's candidate has no isolated slot, so
-    its edge set, as a bitmask over slot pairs, determines it.
+    its edge set determines it.
     """
     seen: dict[bytes, PreimageWitness] = {}
-    forms: dict[int, bytes] = {}
+    forms: dict[frozenset, bytes] = {}
     for w in _certified_witnesses(h, limits):
-        key = sum(1 << (b * (b - 1) // 2 + a) for a, b in w.candidate.edges)
-        if (form := forms.get(key)) is None:
-            form = forms[key] = canonical_form(w.candidate)
+        if (form := forms.get(w.candidate.edges)) is None:
+            form = forms[w.candidate.edges] = canonical_form(w.candidate)
         seen.setdefault(form, w)
     return [seen[k] for k in sorted(seen)]
 

@@ -195,9 +195,10 @@ def test_decide_exit_codes(tmp_path):
     assert json.loads(res.stdout)["status"] == "UNKNOWN"
     res = run_cli("decide", str(sat), "--max-vars", "2")
     assert res.returncode == 2
-    # a negative budget is a usage error; 0 is a bound
+    # a negative or NaN budget is a usage error; 0 is a bound
     for flag, value, shown in (("--node-budget", "-5", "-5"),
-                               ("--time-budget", "-1", "-1.0")):
+                               ("--time-budget", "-1", "-1.0"),
+                               ("--time-budget", "nan", "nan")):
         res = run_cli("decide", str(sat), flag, value)
         assert (res.returncode, res.stdout) == (2, "")
         assert res.stderr == f"error: {flag} must be non-negative, got {shown}\n"
@@ -313,9 +314,10 @@ def test_unexpected_exception_exits_internal(k4e_file):
     ("format", 3, ("reduce", "f.cnf"), "a string"),
     ("node_budget", -5, ("decide", "f.cnf"), "non-negative"),
     ("time_budget", -0.5, ("decide", "f.cnf"), "non-negative"),
+    ("time_budget", float("nan"), ("preimage", "solve", "edge.json"), "non-negative"),
     ("max_target_vertices", -1, ("preimage", "solve", "edge.json"), "non-negative"),
 ], ids=["node_str", "node_bool", "node_float", "time_list", "max_target_str",
-        "appendix_int", "format_int", "node_negative", "time_negative",
+        "appendix_int", "format_int", "node_negative", "time_negative", "time_nan",
         "max_target_negative"])
 def test_malformed_config_values_are_usage_errors(tmp_path, monkeypatch, capsys,
                                                   key, value, args, kind):

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 import trilin.gadgets as gadgets
-from trilin.errors import ParseError, StructureError
+from trilin.errors import StructureError
 from trilin.gadgets import (
     Assembly,
     GadgetBlueprint,
@@ -99,38 +99,12 @@ def test_small_parameter_validation():
         make_wheel(2)
     with pytest.raises(StructureError):
         make_fan(2)
-
-
-def test_blueprint_json_round_trip():
-    bp = designate_attachments(make_sun(7))
-    back = GadgetBlueprint.from_json_obj(bp.to_json_obj())
-    assert back.graph == bp.graph
-    assert back.kind == bp.kind
-    assert set(back.sub_gadgets) == set(bp.sub_gadgets)
-    assert back.sub("root").roles == bp.sub("root").roles
-
-
-TRIANGLE = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
-
-
-@pytest.mark.parametrize("obj", [
-    {"graph": TRIANGLE, "sub_gadgets": []},
-    {"graph": TRIANGLE, "roles": []},
-    {"graph": TRIANGLE, "sub_gadgets": {"s": {"kind": "t", "vertices": [0, 9], "roles": {}}}},
-    {"graph": TRIANGLE, "roles": {"cycle": "ab"}},
-    {"graph": TRIANGLE, "meta": 5},
-    # vertex 0 named "v1" collides with the default name of unlabeled vertex 1
-    {"graph": {**TRIANGLE, "labels": {"0": "v1"}}},
-], ids=["sub_gadgets_list", "roles_list", "vertex_out_of_range", "role_string",
-        "meta_int", "label_repeats_default_name"])
-def test_blueprint_json_rejects_malformed_fields(obj):
-    with pytest.raises(ParseError):
-        GadgetBlueprint.from_json_obj(obj)
-
-
-def test_blueprint_json_accepts_partial_labels():
-    bp = GadgetBlueprint.from_json_obj({"graph": {**TRIANGLE, "labels": {"0": "a"}}})
-    assert bp.graph.labels == {0: "a"}
+    with pytest.raises(StructureError):
+        make_triangle_strip(2)
+    with pytest.raises(StructureError):
+        make_squared_cycle(4)
+    with pytest.raises(StructureError):
+        make_wire(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +131,9 @@ def test_designate_attachments_marks_disjoint_bowties():
 def test_designate_attachments_rejects_non_7sun():
     with pytest.raises(StructureError):
         designate_attachments(make_sun(9))
+    short = dataclasses.replace(make_sun(7), roles={"cycle": (0, 1), "apex": (7, 8)})
+    with pytest.raises(StructureError, match="wrong arity"):
+        designate_attachments(short)
 
 
 def test_equal_join_shape():
@@ -184,6 +161,8 @@ def test_join_requires_bowtie_roles():
     # the wire's H0 exists but is a 7-sun unit
     with pytest.raises(StructureError, match="is not a bowtie"):
         attach_equal(make_wire(1), "H0", sun, "root")
+    with pytest.raises(StructureError, match="unknown join mode 'XOR'"):
+        gadgets._join(sun, "equal", sun, "root", "XOR", "xor_join")
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +246,8 @@ def test_variable_cluster_rejects_zero_clauses():
 def test_large_variable_gadget_registers_chain_bowtie():
     bp = make_large_variable_gadget(0, 1)
     assert bp.sub("emb0/chain").kind == "bowtie"
+    with pytest.raises(StructureError, match="no sub-gadget named 'nope'"):
+        make_sun(7).sub("nope")
 
 
 def test_join_clause_shape():
@@ -343,7 +324,7 @@ def test_registry_equals_an_eager_translation():
     # translate every entry independently: union vertex -> its label part ->
     # the built vertex whose label holds that part
     asm = Assembly()
-    gadgets._add_cluster(asm, "x/", 0, 1, 12)
+    gadgets._add_cluster(asm, "x/", 1, 12)
     parts = list(asm._labels)
     names = list(asm._subs)
     shifted = {name: asm.sub(name) for name in names}

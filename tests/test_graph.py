@@ -59,6 +59,8 @@ def test_graph_rejects_bad_edges():
         Graph(2, [(0, 2)])
     with pytest.raises(GraphConstructionError):
         Graph(2, [(0, 0)])
+    with pytest.raises(GraphConstructionError, match="negative vertex count"):
+        Graph(-1, [])
     # duplicates collapse after normalization
     assert len(Graph(3, [(0, 1), (1, 0)]).edges) == 1
 
@@ -127,6 +129,8 @@ def test_induced_subgraph():
     assert order == (1, 2, 3)
     # vertices 2 and 3 are nonadjacent in K4 - e
     assert sorted(sub.sorted_edges) == [(0, 1), (0, 2)]
+    with pytest.raises(GraphConstructionError, match="vertex 99 not in graph"):
+        induced_subgraph(Graph(3, []), [99])
 
 
 # ---------------------------------------------------------------------------

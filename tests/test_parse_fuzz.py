@@ -8,7 +8,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trilin.errors import ParseError
-from trilin.gadgets import GadgetBlueprint
 from trilin.graph import parse_edgelist, parse_json
 from trilin.operators import PreimageWitness
 from trilin.reduction import parse_dimacs
@@ -46,24 +45,6 @@ witness_objs = st.fixed_dictionaries(
     optional={"map": st.lists(st.lists(small_ints, max_size=4) | json_values,
                               max_size=5) | json_values},
 )
-vertex_lists = st.lists(small_ints | json_values, max_size=4) | json_values
-role_objs = st.dictionaries(st.text(max_size=3), vertex_lists, max_size=3) | json_values
-# mostly valid graphs, so the fuzz reaches the blueprint's own fields
-triangle = st.just({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]})
-blueprint_objs = st.fixed_dictionaries(
-    {"graph": triangle | triangle.map(lambda g: {**g, "labels": {"0": "v1"}}) | graph_objs},
-    optional={
-        "kind": st.text(max_size=3) | json_values,
-        "roles": role_objs,
-        "sub_gadgets": st.dictionaries(
-            st.text(max_size=3),
-            st.fixed_dictionaries({}, optional={"kind": st.text(max_size=3) | json_values,
-                                                "vertices": vertex_lists,
-                                                "roles": role_objs}) | json_values,
-            max_size=3) | json_values,
-        "meta": json_values,
-    },
-)
 # line-structured text built from the tokens the text formats know
 tokens = st.sampled_from(["p", "cnf", "c", "#", "n", "0", "1", "2", "3", "-1",
                           "-3", "7", "99", "x", "1.5", "", " "])
@@ -88,15 +69,6 @@ def test_arbitrary_text_raises_only_parse_error(text):
 @given(obj=json_values | graph_objs | witness_objs)
 def test_json_shaped_input_raises_only_parse_error(obj):
     only_parse_errors(json.dumps(obj))
-
-
-@fuzz
-@given(obj=json_values | blueprint_objs)
-def test_blueprint_json_raises_only_parse_error(obj):
-    try:
-        GadgetBlueprint.from_json_obj(obj)
-    except ParseError:
-        pass
 
 
 DEEP = "[" * 100_000

@@ -81,6 +81,8 @@ def test_violated_clause_reports_first():
     assert violated_clause(f, (False, False, False)) == 1
     assert violated_clause(f, (True, True, True)) == 2
     assert violated_clause(f, (True, False, False)) is None
+    with pytest.raises(StructureError, match="length mismatch"):
+        violated_clause(f, (True,))
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +148,9 @@ def test_compile_builds_one_enforced_sun_per_variable(monkeypatch):
 def test_compile_rejects_empty_formula():
     with pytest.raises(StructureError):
         compile_formula(CnfFormula(3, ()))
+    # below 12 the enforced sun has no clause-attachment triangles
+    with pytest.raises(StructureError, match="'x1/V2' lacks clause-attachment roles"):
+        compile_formula(parse_dimacs(SINGLE), enforce=11)
 
 
 def test_compile_two_clauses_grows_wire():

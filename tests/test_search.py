@@ -345,6 +345,10 @@ def test_pinned_solve_validates_unit_names():
     sun = designate_attachments(make_sun(7))
     with pytest.raises(StructureError):
         template_solve(sun, pin={"nonexistent": WHEEL})
+    with pytest.raises(StructureError, match="no registered sun units"):
+        template_solve(make_bowtie())
+    with pytest.raises(StructureError, match=r"no choice for units \['H1'\]"):
+        glue_templates(make_wire(1), {"H0": WHEEL})
 
 
 def test_max_results_short_circuits():
