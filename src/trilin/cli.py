@@ -8,7 +8,6 @@ or data-integrity error.
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 import click
@@ -73,49 +72,18 @@ EXIT_INTERNAL = 4
 _STATUS_EXIT = {"YES": 0, "SAT": 0, "PASS": 0, "NO": EXIT_NEGATIVE,
                 "UNSAT": EXIT_NEGATIVE, "FAIL": EXIT_NEGATIVE, "UNKNOWN": EXIT_BUDGET}
 
-# each config key and the JSON type it takes; null leaves a key unset, and
-# a bool is no number (as in graph._is_int)
-_CONFIG_TYPES = {
-    "format": (str, "a string"),
-    "appendix_dir": (str, "a string"),
-    "time_budget": ((int, float), "a number"),
-    "node_budget": (int, "an integer"),
-    "max_target_vertices": (int, "an integer"),
-}
-
-
-def _load_config() -> dict:
-    path = os.environ.get("TRILIN_CONFIG")
-    if not path:
-        return {}
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
-        raise click.ClickException(f"bad config file {path}: {exc}")
-    if not isinstance(cfg, dict):
-        raise click.ClickException(f"config file {path} must hold an object")
-    for key, (types, kind) in _CONFIG_TYPES.items():
-        v = cfg.get(key)
-        if v is not None and (isinstance(v, bool) or not isinstance(v, types)):
-            raise click.ClickException(
-                f"config file {path}: {key} must be {kind}, got {v!r}")
-    return cfg
-
-
-def _limits(cfg: dict, time_budget, node_budget, max_target) -> SearchLimits:
-    """Each search limit from its flag, else the config file, else the
-    default.  A negative or NaN limit is a usage error; 0 is a bound."""
+def _limits(time_budget, node_budget, max_target) -> SearchLimits:
+    """Each search limit from its flag, else the default.  A negative or
+    NaN limit is a usage error; 0 is a bound."""
     lim = SearchLimits()
     flags = {"max_target_vertices": max_target, "time_budget": time_budget,
              "node_budget": node_budget}
-    for key, flag in flags.items():
-        if (v := cfg.get(key) if flag is None else flag) is None:
+    for key, v in flags.items():
+        if v is None:
             continue
         if not v >= 0:  # NaN too: a NaN deadline never passes
-            where = (f"config file {os.environ.get('TRILIN_CONFIG')}: {key}"
-                     if flag is None else "--" + key.replace("_", "-"))
-            raise click.ClickException(f"{where} must be non-negative, got {v!r}")
+            raise click.ClickException(
+                f"--{key.replace('_', '-')} must be non-negative, got {v!r}")
         setattr(lim, key, v)
     return lim
 
@@ -137,21 +105,15 @@ def _emit_status(payload: dict, out: str | None):
 _GRAPH_FORMATS = {"edgelist": to_edgelist, "dot": to_dot}
 
 
-def _emit_graph(ctx, fmt: str | None, out: str | None, g: Graph, as_json):
-    """Write a command's graph in `fmt`, else the config's format, else
-    json.  json is the command's own payload, `as_json()`, built only when
-    asked for; the other formats render `g` alone."""
-    fmt = fmt or ctx.obj.get("format") or "json"
-    if fmt == "json":
-        _emit(as_json(), out)
-    elif fmt in _GRAPH_FORMATS:
-        _emit(_GRAPH_FORMATS[fmt](g), out)
-    else:
-        raise click.ClickException(f"unknown format {fmt!r}")
+def _emit_graph(fmt: str, out: str | None, g: Graph, as_json):
+    """Write a command's graph in `fmt`.  json is the command's own payload,
+    `as_json()`, built only when asked for; the other formats render `g`
+    alone."""
+    _emit(as_json() if fmt == "json" else _GRAPH_FORMATS[fmt](g), out)
 
 
 format_option = click.option(
-    "--format", "fmt", default=None,
+    "--format", "fmt", default="json",
     type=click.Choice(["json", *_GRAPH_FORMATS]), help="Output format.")
 out_option = click.option("--out", default=None, help="Write output to a file.")
 # only the commands that run the brute-force oracle take its target-size cap
@@ -164,10 +126,8 @@ def _with_budget_options(f):
 
 
 @click.group()
-@click.pass_context
-def main(ctx):
+def main():
     """Triangular line graph toolkit."""
-    ctx.obj = _load_config()
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +144,11 @@ def tlg():
 @click.argument("graph_file")
 @format_option
 @out_option
-@click.pass_context
-def tlg_compute(ctx, graph_file, fmt, out):
+def tlg_compute(graph_file, fmt, out):
     """Emit T(G) and the edge->vertex bijection."""
     g = load_graph_file(graph_file)
     res = triangular_line_graph(g)
-    _emit_graph(ctx, fmt, out, res.derived, lambda: json.dumps({
+    _emit_graph(fmt, out, res.derived, lambda: json.dumps({
         "graph": to_json_obj(res.derived),
         "map": [[u, v, t] for (u, v), t in sorted(res.edge_to_vertex.items())],
     }, separators=(",", ":")))
@@ -225,12 +184,10 @@ def gadget():
 @click.option("--appendix-dir", default=None)
 @format_option
 @out_option
-@click.pass_context
-def gadget_build(ctx, kind, params, appendix_dir, fmt, out):
+def gadget_build(kind, params, appendix_dir, fmt, out):
     """Emit a named gadget blueprint (see docs for kinds and parameters)."""
     if kind == "appendix-clause":
-        bp = appendix_mod.load_appendix_clause_gadget(
-            appendix_dir or ctx.obj.get("appendix_dir"))
+        bp = appendix_mod.load_appendix_clause_gadget(appendix_dir)
     else:
         try:
             arity, builder = _BUILDERS[kind]
@@ -242,7 +199,7 @@ def gadget_build(ctx, kind, params, appendix_dir, fmt, out):
             raise click.ClickException(
                 f"gadget {kind!r} takes {arity} integer parameter(s)")
         bp = builder(*params)
-    _emit_graph(ctx, fmt, out, bp.graph, bp.to_json)
+    _emit_graph(fmt, out, bp.graph, bp.to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +217,11 @@ def preimage():
 @_with_budget_options
 @_max_target_option
 @out_option
-@click.pass_context
-def preimage_solve(ctx, graph_file, time_budget, node_budget,
+def preimage_solve(graph_file, time_budget, node_budget,
                    max_target_vertices, out):
     """Brute-force preimage classes of a small target graph."""
     g = load_graph_file(graph_file)
-    lim = _limits(ctx.obj, time_budget, node_budget, max_target_vertices)
+    lim = _limits(time_budget, node_budget, max_target_vertices)
     try:
         found = brute_force_preimages(g, lim)
     except BudgetExceededError as exc:
@@ -305,11 +261,10 @@ def _read_formula(cnf_file):
 @click.argument("cnf_file")
 @format_option
 @out_option
-@click.pass_context
-def reduce_cmd(ctx, cnf_file, fmt, out):
+def reduce_cmd(cnf_file, fmt, out):
     """Compile a 3-CNF formula into its reduction graph."""
     r = compile_formula(_read_formula(cnf_file))
-    _emit_graph(ctx, fmt, out, r.blueprint.graph, r.blueprint.to_json)
+    _emit_graph(fmt, out, r.blueprint.graph, r.blueprint.to_json)
 
 
 @main.command("decide")
@@ -317,11 +272,10 @@ def reduce_cmd(ctx, cnf_file, fmt, out):
 @click.option("--max-vars", type=int, default=20)
 @_with_budget_options
 @out_option
-@click.pass_context
-def decide_cmd(ctx, cnf_file, max_vars, time_budget, node_budget, out):
+def decide_cmd(cnf_file, max_vars, time_budget, node_budget, out):
     """Decide satisfiability through the compiled graph's preimages."""
     formula = _read_formula(cnf_file)
-    lim = _limits(ctx.obj, time_budget, node_budget, None)
+    lim = _limits(time_budget, node_budget, None)
     res = decide_formula(formula, lim, max_vars=max_vars)
     payload = {"status": res.status}
     if res.assignment is not None:
@@ -447,15 +401,13 @@ def _check_lemma_battery(appendix_dir, lim) -> list[tuple[str, str, str]]:
 @click.option("--appendix-dir", default=None)
 @_with_budget_options
 @_max_target_option
-@click.pass_context
-def check_lemmas(ctx, appendix_dir, time_budget, node_budget,
-                 max_target_vertices):
+def check_lemmas(appendix_dir, time_budget, node_budget, max_target_vertices):
     """Run the lemma battery and print a PASS/FAIL report."""
-    lim = _limits(ctx.obj, time_budget, node_budget, max_target_vertices)
+    lim = _limits(time_budget, node_budget, max_target_vertices)
     if lim.time_budget is None:
         # each row is individually bounded so the battery always terminates
         lim.time_budget = 300.0
-    rows = _check_lemma_battery(appendix_dir or ctx.obj.get("appendix_dir"), lim)
+    rows = _check_lemma_battery(appendix_dir, lim)
     width = max(len(name) for name, _, _ in rows)
     for name, status, detail in rows:
         click.echo(f"{status:7s} {name:<{width}s}  ({detail})")

@@ -11,10 +11,10 @@ At k = 12 the enforced sun admits only the all-wheel preimage (see
 template_solve on make_binary_enforced_sun(12)), so the squared-cycle side
 of a tap cannot be materialized: witness_from_assignment raises a
 CertificateError naming the tap, and decide()'s one budgeted tap check
-finds the collapse and reports UNSAT for every formula without enumerating
-assignments.  SOUND_ENFORCE = 16 is the smallest size at which the compiled
-reduction is sound: there every satisfying assignment glues into a verified
-preimage, and decide() agrees with the truth table.
+finds the collapse and reports UNSAT for every formula without compiling it
+or enumerating assignments.  SOUND_ENFORCE = 16 is the smallest size at
+which the compiled reduction is sound: there every satisfying assignment
+glues into a verified preimage, and decide() agrees with the truth table.
 """
 
 from __future__ import annotations
@@ -276,24 +276,30 @@ class DecisionResult:
 
 def decide(formula: CnfFormula, limits: SearchLimits | None = None,
            max_vars: int = 20, enforce: int = 12) -> DecisionResult:
-    """Exponential desk-scale decision.  One tap check first: every
-    assignment needs squared-cycle taps, so UNSAT at once when the enforced
-    sun has none.  Otherwise keep the first satisfying assignment, in
-    lexicographic order, whose prescribed preimage glues and verifies.
-    `limits` bounds the whole decision, the tap check and every glue
-    included; budget exhaustion reports UNKNOWN.  `enforce` is the tap
+    """Exponential desk-scale decision.  One tap check first, before
+    compiling: every assignment needs squared-cycle taps, so UNSAT at once
+    when the enforced sun has none.  Otherwise keep the first satisfying
+    assignment, in lexicographic order, whose prescribed preimage glues and
+    verifies.  `limits` bounds the whole decision, the tap check and every
+    glue included; budget exhaustion reports UNKNOWN.  `enforce` is the tap
     size of the compiled graph; only 16 is known to give the truth table's
-    answers (see compile_formula for the measured sizes)."""
+    answers (see compile_formula for the measured sizes).  Like
+    compile_formula, refuses a formula with no clauses and `enforce` < 12."""
     n = formula.variable_count
     if n > max_vars:
         raise StructureError(
             f"refusing {n}-variable formula (guard {max_vars}); "
             "the decision procedure is exponential")
-    r = compile_formula(formula, enforce)
+    if not formula.clauses:
+        raise StructureError("formula has no clauses")
+    if enforce < 12:
+        raise StructureError(f"enforced suns below 12 have no clause-attachment "
+                             f"triangles, got {enforce}")
     budget = _Budget(limits or SearchLimits())
     try:
         if not _cycle_tap_feasible(enforce, budget):
             return DecisionResult("UNSAT")
+        r = compile_formula(formula, enforce)
         for bits in itertools.product((False, True), repeat=n):
             budget.tick()
             if violated_clause(formula, bits) is not None:

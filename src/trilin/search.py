@@ -462,6 +462,8 @@ def _plan(bp: GadgetBlueprint, units, pin: dict[str, str]) -> list:
 
     Raises StructureError unless every vertex and every triangle of the
     blueprint lies inside some unit: the glue places only unit vertices.
+    Raises it too when a unit is pinned to a kind other than WHEEL or
+    SQUARED_CYCLE.
     The order takes the least name first, then always the unit sharing the
     most vertices with the units already taken, ties broken by name.  A
     unit's overlap count is pushed onto a heap each time it rises; its
@@ -480,6 +482,9 @@ def _plan(bp: GadgetBlueprint, units, pin: dict[str, str]) -> list:
         if not a & b & c:
             raise StructureError(
                 f"triangle {tri} not inside any registered sun unit")
+    for name, _ in units:
+        if pin.get(name, WHEEL) not in (WHEEL, SQUARED_CYCLE):
+            raise StructureError(f"unit {name} pinned to unknown kind {pin[name]!r}")
     overlap = dict.fromkeys(range(len(units)), 0)
     heap = [(0, name, i) for i, (name, _) in enumerate(units)]
     heapq.heapify(heap)

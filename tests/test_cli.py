@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,19 +20,15 @@ from trilin.operators import (
 SINGLE = "p cnf 3 1\n1 2 3 0\n"
 
 
-def run_cli(*args, env=None):
+def run_cli(*args):
     cmd = [sys.executable, "-m", "trilin.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True)
 
 
-def invoke(monkeypatch, capsys, *args, config=None):
-    """`trilin ARGS` run in this process through `entry()`, with TRILIN_CONFIG
-    set to `config`: (exit code, stdout, stderr)."""
+def invoke(monkeypatch, capsys, *args):
+    """`trilin ARGS` run in this process through `entry()`: (exit code,
+    stdout, stderr)."""
     monkeypatch.setattr(sys, "argv", ["trilin", *args])
-    if config is None:
-        monkeypatch.delenv("TRILIN_CONFIG", raising=False)
-    else:
-        monkeypatch.setenv("TRILIN_CONFIG", config)
     capsys.readouterr()
     with pytest.raises(SystemExit) as stop:
         cli.entry()
@@ -119,15 +114,11 @@ def test_preimage_solve_budget_unknown(tmp_path):
     res = run_cli("preimage", "solve", str(target), "--node-budget", "5")
     assert res.returncode == 3
     assert json.loads(res.stdout)["status"] == "UNKNOWN"
-    # a time budget of 0 is spent, from the flag or the config file alike
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"time_budget": 0}))
-    for res in (run_cli("preimage", "solve", str(target), "--time-budget", "0"),
-                run_cli("preimage", "solve", str(target),
-                        env=dict(os.environ, TRILIN_CONFIG=str(cfg)))):
-        assert res.returncode == 3
-        assert json.loads(res.stdout) == {"status": "UNKNOWN",
-                                          "reason": "time budget exhausted"}
+    # a time budget of 0 is spent
+    res = run_cli("preimage", "solve", str(target), "--time-budget", "0")
+    assert res.returncode == 3
+    assert json.loads(res.stdout) == {"status": "UNKNOWN",
+                                      "reason": "time budget exhausted"}
     res = run_cli("preimage", "solve", str(target), "--max-target-vertices", "-1")
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr == "error: --max-target-vertices must be non-negative, got -1\n"
@@ -187,12 +178,6 @@ def test_decide_exit_codes(tmp_path):
     res = run_cli("decide", str(sat), "--node-budget", "1")
     assert res.returncode == 3
     assert json.loads(res.stdout)["status"] == "UNKNOWN"
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"node_budget": 1}))
-    res = run_cli("decide", str(sat),
-                  env=dict(os.environ, TRILIN_CONFIG=str(cfg)))
-    assert res.returncode == 3
-    assert json.loads(res.stdout)["status"] == "UNKNOWN"
     res = run_cli("decide", str(sat), "--max-vars", "2")
     assert res.returncode == 2
     # a negative or NaN budget is a usage error; 0 is a bound
@@ -225,16 +210,6 @@ def test_witness_command_reports_failures(tmp_path):
     assert "no preimage" in res.stderr.lower()
     assert run_cli("witness", str(cnf), "10").returncode == 2
     assert run_cli("witness", str(cnf), "1x1").returncode == 2
-
-
-def test_config_file_sets_default_format(tmp_path, k4e_file):
-    import os
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"format": "edgelist"}))
-    env = dict(os.environ, TRILIN_CONFIG=str(cfg))
-    res = run_cli("tlg", "compute", k4e_file, env=env)
-    assert res.returncode == 0
-    assert res.stdout.startswith("# n 5")
 
 
 def test_tlg_compute_path_gives_isolated_vertices(tmp_path):
@@ -270,16 +245,13 @@ def test_malformed_graph_json_is_a_usage_error(tmp_path):
 
 @pytest.mark.parametrize("content", [b"\xff\xfe0 1\n", b"1" * 5000, b"[" * 100_000],
                          ids=["not_utf8", "huge_int", "deep"])
-def test_undecodable_inputs_are_usage_errors(tmp_path, k4e_file, content):
-    # each as a graph file, a witness file and a config file: exit 2, never
-    # an internal error
+def test_undecodable_inputs_are_usage_errors(tmp_path, content):
+    # each as a graph file and a witness file: exit 2, never an internal error
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
-    config = dict(os.environ, TRILIN_CONFIG=bad.as_posix())
-    for args, env in ((("tlg", "compute", bad.as_posix()), None),
-                      (("preimage", "verify", bad.as_posix()), None),
-                      (("tlg", "compute", k4e_file), config)):
-        res = run_cli(*args, env=env)
+    for args in (("tlg", "compute", bad.as_posix()),
+                 ("preimage", "verify", bad.as_posix())):
+        res = run_cli(*args)
         assert res.returncode == 2 and "internal error" not in res.stderr, args
 
 
@@ -304,32 +276,6 @@ def test_unexpected_exception_exits_internal(k4e_file):
     assert "Traceback" not in res.stderr
 
 
-@pytest.mark.parametrize("key, value, args, kind", [
-    ("node_budget", "x", ("decide", "f.cnf"), "an integer"),
-    ("node_budget", True, ("decide", "f.cnf"), "an integer"),
-    ("node_budget", 2.7, ("decide", "f.cnf"), "an integer"),
-    ("time_budget", [1], ("decide", "f.cnf"), "a number"),
-    ("max_target_vertices", "big", ("preimage", "solve", "edge.json"), "an integer"),
-    ("appendix_dir", 5, ("gadget", "build", "appendix-clause"), "a string"),
-    ("format", 3, ("reduce", "f.cnf"), "a string"),
-    ("node_budget", -5, ("decide", "f.cnf"), "non-negative"),
-    ("time_budget", -0.5, ("decide", "f.cnf"), "non-negative"),
-    ("time_budget", float("nan"), ("preimage", "solve", "edge.json"), "non-negative"),
-    ("max_target_vertices", -1, ("preimage", "solve", "edge.json"), "non-negative"),
-], ids=["node_str", "node_bool", "node_float", "time_list", "max_target_str",
-        "appendix_int", "format_int", "node_negative", "time_negative", "time_nan",
-        "max_target_negative"])
-def test_malformed_config_values_are_usage_errors(tmp_path, monkeypatch, capsys,
-                                                  key, value, args, kind):
-    monkeypatch.chdir(tmp_path)
-    Path("f.cnf").write_text(SINGLE)
-    Path("edge.json").write_text('{"n": 2, "edges": [[0, 1]]}')
-    Path("cfg.json").write_text(json.dumps({key: value}))
-    code, out, err = invoke(monkeypatch, capsys, *args, config="cfg.json")
-    assert (code, out) == (2, "")
-    assert err == f"error: config file cfg.json: {key} must be {kind}, got {value!r}\n"
-
-
 # each file the transcript reads, by name; the witness files are written by
 # the test from the operator's own witness
 TRANSCRIPT_FILES = {
@@ -341,110 +287,84 @@ TRANSCRIPT_FILES = {
     "f.cnf": SINGLE,
     "bad.cnf": "p cnf 3 1\n1 2 3\n",
     "empty.cnf": "p cnf 3 0\n",
-    "edgelist.cfg": '{"format": "edgelist"}',
-    "yaml.cfg": '{"format": "yaml"}',
-    "list.cfg": "[1]",
-    "broken.cfg": "{",
-    "budget1.cfg": '{"node_budget": 1}',
 }
 
-# (arguments, config file, exit code, SHA-256 prefix of stdout followed by
-# what --out wrote, first stderr line)
+# (arguments, exit code, SHA-256 prefix of stdout followed by what --out
+# wrote, first stderr line)
 TRANSCRIPT = [
-    (("tlg", "compute", "k4e.edges"), None, 0, "6653be4ade39389a", ""),
-    (("tlg", "compute", "k4e.edges", "--format", "edgelist"), None,
+    (("tlg", "compute", "k4e.edges"), 0, "6653be4ade39389a", ""),
+    (("tlg", "compute", "k4e.edges", "--format", "edgelist"),
      0, "10d524e6872e9cff", ""),
-    (("tlg", "compute", "k4e.edges", "--format", "dot"), None,
-     0, "63ce9f7fd31a1b25", ""),
-    (("tlg", "compute", "k4e.edges", "--format", "edgelist", "--out", "out.txt"), None,
+    (("tlg", "compute", "k4e.edges", "--format", "dot"), 0, "63ce9f7fd31a1b25", ""),
+    (("tlg", "compute", "k4e.edges", "--format", "edgelist", "--out", "out.txt"),
      0, "90fcbac059b532a8", ""),
-    (("tlg", "compute", "p3.edges"), None, 0, "23ce801f8119cc27", ""),
-    (("tlg", "compute", "nosuch.edges"), None,
+    (("tlg", "compute", "p3.edges"), 0, "23ce801f8119cc27", ""),
+    (("tlg", "compute", "nosuch.edges"),
      2, "e3b0c44298fc1c14",
      "error: [Errno 2] No such file or directory: 'nosuch.edges'"),
-    (("tlg", "compute", "bad.json"), None,
+    (("tlg", "compute", "bad.json"),
      2, "e3b0c44298fc1c14", "error: bad graph JSON: n must be an integer"),
-    (("tlg", "compute", "k4e.edges"), "edgelist.cfg", 0, "10d524e6872e9cff", ""),
-    (("tlg", "compute", "k4e.edges", "--format", "dot"), "edgelist.cfg",
-     0, "63ce9f7fd31a1b25", ""),
-    (("tlg", "compute", "k4e.edges"), "yaml.cfg",
-     2, "e3b0c44298fc1c14", "error: unknown format 'yaml'"),
-    (("tlg", "compute", "k4e.edges"), "list.cfg",
-     2, "e3b0c44298fc1c14", "error: config file list.cfg must hold an object"),
-    (("tlg", "compute", "k4e.edges"), "broken.cfg",
-     2, "e3b0c44298fc1c14",
-     "error: bad config file broken.cfg: Expecting property name enclosed in "
-     "double quotes: line 1 column 2 (char 1)"),
-    (("gadget", "build", "bowtie"), None, 0, "68d5ff96bd13a997", ""),
-    (("gadget", "build", "sun", "7", "--format", "dot"), None,
-     0, "b058bf6cf3114608", ""),
-    (("gadget", "build", "cluster", "0", "1", "--format", "edgelist"), None,
+    (("gadget", "build", "bowtie"), 0, "68d5ff96bd13a997", ""),
+    (("gadget", "build", "sun", "7", "--format", "dot"), 0, "b058bf6cf3114608", ""),
+    (("gadget", "build", "cluster", "0", "1", "--format", "edgelist"),
      0, "2471bd554dff315c", ""),
-    (("gadget", "build", "clause", "--format", "edgelist"), None,
-     0, "7f2e0c50a2c6c168", ""),
-    (("gadget", "build", "no-such-kind"), None,
+    (("gadget", "build", "clause", "--format", "edgelist"), 0, "7f2e0c50a2c6c168", ""),
+    (("gadget", "build", "no-such-kind"),
      2, "e3b0c44298fc1c14",
      "error: unknown gadget kind 'no-such-kind'; choose from ['binary-enforced-"
      "sun', 'bowtie', 'clause', 'cluster', 'fan', 'squared-cycle', 'strip', 'sun',"
      " 'wheel', 'wire', 'appendix-clause']"),
-    (("gadget", "build", "sun"), None,
+    (("gadget", "build", "sun"),
      2, "e3b0c44298fc1c14", "error: gadget 'sun' takes 1 integer parameter(s)"),
-    (("gadget", "build", "wheel", "2"), None,
+    (("gadget", "build", "wheel", "2"),
      2, "e3b0c44298fc1c14", "error: wheel needs k >= 4, got 2"),
-    (("gadget", "build", "appendix-clause"), None, 0, "e7a38f82a5e16632", ""),
-    (("gadget", "build", "appendix-clause", "--appendix-dir", "nodir"), None,
+    (("gadget", "build", "appendix-clause"), 0, "e7a38f82a5e16632", ""),
+    (("gadget", "build", "appendix-clause", "--appendix-dir", "nodir"),
      4, "e3b0c44298fc1c14",
      "error: cannot read appendix data: [Errno 2] No such file or directory: "
      "'nodir/clause_gadget.json'"),
-    (("gadget", "build", "sun", "7"), "yaml.cfg",
-     2, "e3b0c44298fc1c14", "error: unknown format 'yaml'"),
-    (("preimage", "solve", "bowtie.json"), None, 0, "edcc2a06030f7869", ""),
-    (("preimage", "solve", "bowtie.json", "--out", "out.txt"), None,
+    (("preimage", "solve", "bowtie.json"), 0, "edcc2a06030f7869", ""),
+    (("preimage", "solve", "bowtie.json", "--out", "out.txt"),
      0, "edcc2a06030f7869", ""),
-    (("preimage", "solve", "edge.json"), None, 1, "752922fed0628ae8", ""),
-    (("preimage", "solve", "sun7.json", "--node-budget", "5"), None,
+    (("preimage", "solve", "edge.json"), 1, "752922fed0628ae8", ""),
+    (("preimage", "solve", "sun7.json", "--node-budget", "5"),
      3, "ad846c3788d91f51", ""),
-    (("preimage", "solve", "sun7.json", "--node-budget", "5", "--out", "out.txt"), None,
+    (("preimage", "solve", "sun7.json", "--node-budget", "5", "--out", "out.txt"),
      3, "ad846c3788d91f51", ""),
-    (("preimage", "solve", "bowtie.json", "--max-target-vertices", "3"), None,
+    (("preimage", "solve", "bowtie.json", "--max-target-vertices", "3"),
      3, "e3b0c44298fc1c14", "error: target has 5 vertices, over the limit 3"),
-    (("preimage", "solve", "bowtie.json", "--format", "json"), None,
+    (("preimage", "solve", "bowtie.json", "--format", "json"),
      2, "e3b0c44298fc1c14", "error: No such option '--format'. Did you mean '--out'?"),
-    (("preimage", "verify", "w.json"), None, 0, "de545cc7e7ff8eaa", ""),
-    (("preimage", "verify", "tampered.json"), None, 1, "d9a5d1326f6b4a63", ""),
-    (("preimage", "verify", "float_map.json"), None,
+    (("preimage", "verify", "w.json"), 0, "de545cc7e7ff8eaa", ""),
+    (("preimage", "verify", "tampered.json"), 1, "d9a5d1326f6b4a63", ""),
+    (("preimage", "verify", "float_map.json"),
      2, "e3b0c44298fc1c14",
      "error: bad witness JSON: map entries must be integer triples"),
-    (("reduce", "f.cnf"), None, 0, "c7e46a1436062e51", ""),
-    (("reduce", "f.cnf", "--format", "edgelist", "--out", "out.txt"), None,
+    (("reduce", "f.cnf"), 0, "c7e46a1436062e51", ""),
+    (("reduce", "f.cnf", "--format", "edgelist", "--out", "out.txt"),
      0, "9a9e223834bf3f5e", ""),
-    (("reduce", "bad.cnf"), None,
+    (("reduce", "bad.cnf"),
      2, "e3b0c44298fc1c14", "error: last clause not 0-terminated"),
-    (("reduce", "empty.cnf"), None,
-     2, "e3b0c44298fc1c14", "error: formula has no clauses"),
-    (("reduce", "f.cnf"), "yaml.cfg",
-     2, "e3b0c44298fc1c14", "error: unknown format 'yaml'"),
-    (("decide", "f.cnf"), None, 1, "00c11b8b7538a806", ""),
-    (("decide", "f.cnf", "--node-budget", "1"), None, 3, "7f9dfabe58790d30", ""),
-    (("decide", "f.cnf"), "budget1.cfg", 3, "7f9dfabe58790d30", ""),
-    (("decide", "f.cnf", "--max-vars", "2"), None,
+    (("reduce", "empty.cnf"), 2, "e3b0c44298fc1c14", "error: formula has no clauses"),
+    (("decide", "f.cnf"), 1, "00c11b8b7538a806", ""),
+    (("decide", "f.cnf", "--node-budget", "1"), 3, "7f9dfabe58790d30", ""),
+    (("decide", "f.cnf", "--max-vars", "2"),
      2, "e3b0c44298fc1c14",
      "error: refusing 3-variable formula (guard 2); the decision procedure is "
      "exponential"),
-    (("decide", "empty.cnf"), None,
-     2, "e3b0c44298fc1c14", "error: formula has no clauses"),
-    (("witness", "f.cnf", "000"), None,
+    (("decide", "empty.cnf"), 2, "e3b0c44298fc1c14", "error: formula has no clauses"),
+    (("witness", "f.cnf", "000"),
      1, "e3b0c44298fc1c14", "assignment does not satisfy clause 1"),
-    (("witness", "f.cnf", "111"), None,
+    (("witness", "f.cnf", "111"),
      1, "e3b0c44298fc1c14",
      "no preimage realizes the prescribed choices: the enforced 12-sun has no "
      "squared-cycle-side preimage, required at x1/V2/sun12 (and 2 more)"),
-    (("witness", "f.cnf", "10"), None,
+    (("witness", "f.cnf", "10"),
      2, "e3b0c44298fc1c14", "error: assignment length 2 != 3 variables"),
-    (("witness", "f.cnf", "1x1"), None,
+    (("witness", "f.cnf", "1x1"),
      2, "e3b0c44298fc1c14", "error: assignment must be 0/1 digits, got '1x1'"),
-    (("check", "lemmas", "--node-budget", "50"), None, 3, "429ad57c22eabf40", ""),
-    (("check", "lemmas", "--node-budget", "50", "--appendix-dir", "nodir"), None,
+    (("check", "lemmas", "--node-budget", "50"), 3, "429ad57c22eabf40", ""),
+    (("check", "lemmas", "--node-budget", "50", "--appendix-dir", "nodir"),
      4, "e3b0c44298fc1c14",
      "error: cannot read appendix data: [Errno 2] No such file or directory: "
      "'nodir/clause_gadget.json'"),
@@ -475,11 +395,11 @@ def transcript_digest(out: str, directory: Path) -> str:
 
 
 def test_cli_transcript(tmp_path, monkeypatch, capsys):
-    # every command, format, config key and error class, in one table
+    # every command, format and error class, in one table
     monkeypatch.chdir(tmp_path)
     write_transcript_files(tmp_path)
-    for args, config, code, digest, first_err in TRANSCRIPT:
-        got_code, out, err = invoke(monkeypatch, capsys, *args, config=config)
+    for args, code, digest, first_err in TRANSCRIPT:
+        got_code, out, err = invoke(monkeypatch, capsys, *args)
         first = (err.splitlines() or [""])[0]
         got = (got_code, transcript_digest(out, tmp_path), first)
-        assert got == (code, digest, first_err), (args, config)
+        assert got == (code, digest, first_err), args

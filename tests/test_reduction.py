@@ -29,6 +29,8 @@ from trilin.reduction import (
 )
 from trilin.search import SearchLimits, template_solve
 
+from test_acceptance import build_corpus
+
 SINGLE = "p cnf 3 1\n1 2 3 0\n"
 
 
@@ -151,6 +153,11 @@ def test_compile_rejects_empty_formula():
     # below 12 the enforced sun has no clause-attachment triangles
     with pytest.raises(StructureError, match="'x1/V2' lacks clause-attachment roles"):
         compile_formula(parse_dimacs(SINGLE), enforce=11)
+    # decide refuses them too, although its tap check fails below 12
+    with pytest.raises(StructureError, match="formula has no clauses"):
+        decide(CnfFormula(3, ()))
+    with pytest.raises(StructureError, match="clause-attachment triangles, got 11"):
+        decide(parse_dimacs(SINGLE), enforce=11)
 
 
 def test_compile_two_clauses_grows_wire():
@@ -319,11 +326,15 @@ def test_decide_tap_check_ticks_the_decision_budget():
     assert status == "UNKNOWN" and int(ticks) <= 6
 
 
-def test_decide_skips_the_loop_when_no_tap_materializes():
-    # at size 12 no assignment can glue, so the 2^20 assignments are never
-    # enumerated and a small budget still reaches a verdict
+def test_decide_skips_the_loop_when_no_tap_materializes(monkeypatch):
+    # at size 12 no assignment can glue, so the formula is never compiled,
+    # the 2^20 assignments are never enumerated, and a small budget still
+    # reaches a verdict
+    compiled = []
+    monkeypatch.setattr(reduction, "compile_formula", lambda *a: compiled.append(a))
     f = CnfFormula(20, (((0, True), (1, True), (2, True)),))
     assert decide(f, SearchLimits(node_budget=10_000)).status == "UNSAT"
+    assert compiled == []
 
 
 UNSAT8 = "p cnf 3 8\n" + "".join(
@@ -349,3 +360,25 @@ def test_compiled_graph_preimage_decodes_to_the_truth_table(text, enforce):
     assert len(found) == (enforce == 16 and brute_sat(f) is not None)
     for a in found:
         assert satisfies(f, assignment_from_witness(r, a.witness))
+
+
+@pytest.mark.parametrize("formulas", [
+    [parse_dimacs(SINGLE)],
+    [parse_dimacs("p cnf 3 2\n1 2 3 0\n-1 2 -3 0\n")],
+    [parse_dimacs("p cnf 4 2\n-1 -2 3 0\n1 -3 -4 0\n")],
+    pytest.param(build_corpus(), marks=pytest.mark.slow),
+], ids=["single", "3x2", "4x2", "corpus"])
+def test_vectors_decode_one_to_one_onto_satisfying_assignments(formulas):
+    # at size 16 the reduction is parsimonious on vectors: the full
+    # enumeration has one vector per satisfying assignment, each decoding
+    # to its assignment and pinning exactly what that assignment prescribes
+    for f in formulas:
+        r = compile_formula(f, 16)
+        decoded = []
+        for a in template_solve(r.blueprint):
+            bits = assignment_from_witness(r, a.witness)
+            assert a.choices == reduction._pins(r, bits)
+            decoded.append(bits)
+        assert sorted(decoded) == [
+            bits for bits in itertools.product((False, True), repeat=f.variable_count)
+            if satisfies(f, bits)]

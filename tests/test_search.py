@@ -349,6 +349,11 @@ def test_pinned_solve_validates_unit_names():
         template_solve(make_bowtie())
     with pytest.raises(StructureError, match=r"no choice for units \['H1'\]"):
         glue_templates(make_wire(1), {"H0": WHEEL})
+    # a pinned kind that is neither template is refused, naming the unit
+    with pytest.raises(StructureError, match="unit H0 pinned to unknown kind 'wheel'"):
+        template_solve(make_wire(1), pin={"H0": "wheel"})
+    with pytest.raises(StructureError, match="unit H1 pinned to unknown kind None"):
+        glue_templates(make_wire(1), {"H0": "WHEEL", "H1": None})
 
 
 def test_max_results_short_circuits():
