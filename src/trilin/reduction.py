@@ -146,6 +146,16 @@ def _tap_index(clause_index: int, positive: bool) -> int:
     return 2 * clause_index if positive else 2 * clause_index - 1
 
 
+def _refuse_uncompilable(formula: CnfFormula, enforce: int) -> None:
+    """The StructureError of a formula with no clauses, and of `enforce`
+    below 12: smaller enforced suns have no clause-attachment triangles."""
+    if not formula.clauses:
+        raise StructureError("formula has no clauses")
+    if enforce < 12:
+        raise StructureError(f"enforced suns below 12 have no clause-attachment "
+                             f"triangles, got {enforce}")
+
+
 def compile_formula(formula: CnfFormula, enforce: int = 12) -> ReductionOutput:
     """Build the reduction graph: one cluster per variable, wire length
     2m + 1, with enforced `enforce`-suns as taps, plus one three-way twist
@@ -155,10 +165,10 @@ def compile_formula(formula: CnfFormula, enforce: int = 12) -> ReductionOutput:
     12 and 15 collapse (the enforced sun keeps only the wheel side); a
     clause of enforced 13-suns has no feasible pattern and a 14-sun clause
     has 1; 16 is sound; 17 and 18 give the 7 clause patterns, but no
-    decide() run has checked them; 19 and 20 give only 4 patterns."""
+    decide() run has checked them; 19 and 20 give only 4 patterns.
+    Refuses a formula with no clauses and `enforce` < 12."""
+    _refuse_uncompilable(formula, enforce)
     m = len(formula.clauses)
-    if m == 0:
-        raise StructureError("formula has no clauses")
     asm = Assembly()
     roots: dict[int, str] = {}
     for i in range(formula.variable_count):
@@ -290,11 +300,7 @@ def decide(formula: CnfFormula, limits: SearchLimits | None = None,
         raise StructureError(
             f"refusing {n}-variable formula (guard {max_vars}); "
             "the decision procedure is exponential")
-    if not formula.clauses:
-        raise StructureError("formula has no clauses")
-    if enforce < 12:
-        raise StructureError(f"enforced suns below 12 have no clause-attachment "
-                             f"triangles, got {enforce}")
+    _refuse_uncompilable(formula, enforce)
     budget = _Budget(limits or SearchLimits())
     try:
         if not _cycle_tap_feasible(enforce, budget):

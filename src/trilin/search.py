@@ -4,7 +4,8 @@ template-constrained solver for sun-structured composites.
 The oracle works in "slot" space: a candidate graph is grown lazily, each
 target vertex getting assigned an unordered pair of candidate vertex slots
 (the edge that turns into it).  Fresh slots are introduced in first-use
-order, which breaks candidate relabeling symmetry.  Every edge of a
+order, and a new edge meets an isolated edge only at its lesser end or at
+both, so each leaf is a distinct labeled preimage.  Every edge of a
 triangular line graph lies in a triangle, so a target edge uw between placed
 vertices whose edges (x, y) and (x, z) lack the closing edge (y, z) is
 "open": only an unplaced common neighbour of u and w can still own (y, z).
@@ -150,7 +151,9 @@ def _candidate_edges_for(state: _State, h: Graph, tv: int):
     """Pairs (a, b) the target vertex tv may be assigned, respecting the
     shared-endpoint constraint from already placed target neighbors and the
     fresh-slot introduction order.  A placement opens at most two slots, so
-    a leaf never uses more than 2|V(h)|."""
+    a leaf never uses more than 2|V(h)|.  An isolated edge (a, b), a < b,
+    makes b a twin of a: swapping the two fixes the state, so an option
+    holding b but not a is dropped; its mirror, holding a, sorts earlier."""
     placed_nbrs = [w for w in h.adj[tv] if w in state.assign]
     fresh = state.slots
     if placed_nbrs:
@@ -166,20 +169,22 @@ def _candidate_edges_for(state: _State, h: Graph, tv: int):
                 if all(state.assign[w][0] in pair or state.assign[w][1] in pair
                        for w in placed_nbrs):
                     opts.add(pair)
-        return sorted(opts)
-    # component start: any pair of existing slots, one fresh, or two fresh
-    opts = []
-    for a in range(state.slots):
-        for b in range(a + 1, state.slots):
-            opts.append((a, b))
-        opts.append((a, fresh))
-    opts.append((fresh, fresh + 1))
-    return opts
+        opts = sorted(opts)
+    else:
+        # component start: any pair of existing slots, one fresh, or two fresh
+        opts = [(a, b) for a in range(fresh) for b in range(a + 1, fresh + 1)]
+        opts.append((fresh, fresh + 1))
+    gadj = state.gadj
+    twin = {b: a for a in range(fresh) if len(gadj[a]) == 1
+            for b in gadj[a] if a < b and len(gadj[b]) == 1}
+    return [p for p in opts if all(twin.get(s, s) in p for s in p)]
 
 
 def _certified_witnesses(h: Graph, limits: SearchLimits | None):
-    """Yields a verified witness for every complete certified assignment
-    (slot-canonical) of the target vertices to candidate edges."""
+    """Yields a verified witness for every complete certified assignment of
+    the target vertices to candidate edges: one per labeled preimage, since
+    a relabeling mapping one leaf onto another fixes their common prefix's
+    edges, so it could only swap the ends of isolated ones (the twin cut)."""
     limits = limits or SearchLimits()
     if h.n > limits.max_target_vertices:
         raise CapacityError(
@@ -225,19 +230,9 @@ def brute_force_preimages(h: Graph, limits: SearchLimits | None = None) -> list[
 
 
 def count_labeled_preimages(h: Graph, limits: SearchLimits | None = None) -> int:
-    """Certified (candidate, bijection) pairs modulo candidate relabeling.
-
-    Such a pair is determined up to relabeling by the multiset of its
-    candidate vertices' stars: the target vertices on each vertex's edges.
-    """
-    keys: set[tuple] = set()
-    for w in _certified_witnesses(h, limits):
-        stars: list[list[int]] = [[] for _ in range(w.candidate.n)]
-        for (u, v), t in w.edge_to_vertex.items():
-            stars[u].append(t)
-            stars[v].append(t)
-        keys.add(tuple(sorted(tuple(sorted(star)) for star in stars)))
-    return len(keys)
+    """Certified (candidate, bijection) pairs modulo candidate relabeling:
+    the leaves of `_certified_witnesses`, which builds each pair once."""
+    return sum(1 for _ in _certified_witnesses(h, limits))
 
 
 def is_tlg_small(h: Graph, limits: SearchLimits | None = None):
@@ -554,7 +549,7 @@ def template_solve(bp: GadgetBlueprint,
                    max_results: int | None = None) -> list[TemplateAssignment]:
     """Enumerate consistent global wheel / squared-cycle choices over all
     registered sun units; one certified witness per distinct choice vector,
-    so it is complete on vectors, not on preimages (wire(2) has 20 certified
+    so it is complete on vectors, not on preimages (wire(2) has 10 certified
     oracle leaves on its 2 vectors).
 
     `_glue_search` prunes a prefix as soon as its glue fails in a way no

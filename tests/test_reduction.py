@@ -151,9 +151,9 @@ def test_compile_rejects_empty_formula():
     with pytest.raises(StructureError):
         compile_formula(CnfFormula(3, ()))
     # below 12 the enforced sun has no clause-attachment triangles
-    with pytest.raises(StructureError, match="'x1/V2' lacks clause-attachment roles"):
+    with pytest.raises(StructureError, match="clause-attachment triangles, got 11"):
         compile_formula(parse_dimacs(SINGLE), enforce=11)
-    # decide refuses them too, although its tap check fails below 12
+    # decide refuses them too, with the same message, before its tap check
     with pytest.raises(StructureError, match="formula has no clauses"):
         decide(CnfFormula(3, ()))
     with pytest.raises(StructureError, match="clause-attachment triangles, got 11"):
