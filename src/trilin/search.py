@@ -6,11 +6,14 @@ target vertex getting assigned an unordered pair of candidate vertex slots
 (the edge that turns into it).  Fresh slots are introduced in first-use
 order, and a new edge meets an isolated edge only at its lesser end or at
 both, so each leaf is a distinct labeled preimage.  Every edge of a
-triangular line graph lies in a triangle, so a target edge uw between placed
-vertices whose edges (x, y) and (x, z) lack the closing edge (y, z) is
-"open": only an unplaced common neighbour of u and w can still own (y, z).
-A placement that leaves an open edge with no such neighbour is pruned
-(forward checking), so a leaf is built only when no target edge is lost.
+triangular line graph lies in a triangle: an edge ef of T(G) comes from a
+triangle {e, f, g} of G, and g is adjacent to both.  So a target with an
+edge in no triangle is refuted before any node.  Otherwise a target edge uw
+between placed vertices on edges (x, y) and (x, z) needs the closing edge
+(y, z), which only a common neighbour of u and w can own.  The target is
+compiled once into a per-depth plan, and the placement after which uw's
+ends and common neighbours are all placed must leave (y, z) owned (forward
+checking), so a leaf is built only when no target edge is lost.
 
 The template solver never places single edges: it chooses a wheel or a
 squared cycle for each registered sun unit and glues the chosen templates
@@ -81,94 +84,93 @@ def _target_order(h: Graph) -> list[int]:
 
 
 class _State:
-    __slots__ = ("assign", "edge_owner", "gadj", "slots")
+    __slots__ = ("assign", "gadj", "slots")
 
-    def __init__(self):
-        self.assign: dict[int, tuple[int, int]] = {}   # target -> edge
-        self.edge_owner: dict[tuple[int, int], int] = {}
-        self.gadj: dict[int, set[int]] = {}
+    def __init__(self, h: Graph):
+        # target vertex -> its edge (a, b), a < b; entries past the current
+        # depth are stale, and the plan never reads them
+        self.assign: list[tuple[int, int] | None] = [None] * h.n
+        # slot -> {neighbouring slot: target vertex owning the edge}; a leaf
+        # uses at most 2|V(h)| slots
+        self.gadj: list[dict[int, int]] = [{} for _ in range(2 * h.n)]
         self.slots = 0
 
-    def new_triangles_ok(self, h: Graph, a: int, b: int) -> bool:
-        """Every triangle the new edge (a, b) closes must map to a target
-        triangle, or T(candidate) will exceed the target."""
-        e_ab = self.edge_owner[(min(a, b), max(a, b))]
-        for x in self.gadj[a] & self.gadj[b]:
-            t1 = self.edge_owner[(min(a, x), max(a, x))]
-            t2 = self.edge_owner[(min(b, x), max(b, x))]
-            if not (h.has_edge(t1, e_ab) and h.has_edge(t2, e_ab)
-                    and h.has_edge(t1, t2)):
+    def new_triangles_ok(self, hadj: list[set[int]], a: int, b: int, e: int) -> bool:
+        """Every triangle the new edge (a, b), owned by e, closes must map to
+        a target triangle, or T(candidate) will exceed the target."""
+        ga, gb, ne = self.gadj[a], self.gadj[b], hadj[e]
+        for x in ga.keys() & gb.keys():
+            t1, t2 = ga[x], gb[x]
+            if not (t1 in ne and t2 in ne and t2 in hadj[t1]):
                 return False
         return True
 
-    def closable(self, h: Graph, u: int, w: int) -> bool:
-        """Whether the target edge uw between two placed vertices is, or can
-        still be, realized.  Their edges (x, y) and (x, z) share the end x;
-        uw needs the closing edge (y, z), and `new_triangles_ok` admits as
-        its owner only a common target neighbour of u and w."""
-        y, z = sorted(set(self.assign[u]) ^ set(self.assign[w]))
-        return (y, z) in self.edge_owner or any(
-            t not in self.assign for t in h.adj[u] & h.adj[w])
-
-    def open_edges_ok(self, h: Graph, tv: int) -> bool:
-        """Forward check after placing tv: each target edge it touches among
-        placed vertices, tv's own and those it was the last possible closer
-        of, must stay `closable`."""
-        placed = [u for u in h.adj[tv] if u in self.assign]
-        for i, u in enumerate(placed):
-            if not self.closable(h, tv, u):
+    def closed(self, closes: list[tuple[int, int]]) -> bool:
+        """Forward check: the ends of each target edge uw in `closes` sit on
+        edges (x, y) and (x, z), and all their common neighbours, the only
+        possible owners of the closing edge (y, z), are placed, so (y, z)
+        must be owned now."""
+        for u, w in closes:
+            y, z = {*self.assign[u]} ^ {*self.assign[w]}
+            if z not in self.gadj[y]:
                 return False
-            for w in placed[i + 1:]:
-                if w in h.adj[u] and not self.closable(h, u, w):
-                    return False
         return True
 
-    def place(self, h: Graph, tv: int, a: int, b: int) -> bool:
-        e = (min(a, b), max(a, b))
-        if e in self.edge_owner:
+    def place(self, hadj: list[set[int]], tv: int, a: int, b: int,
+              closes: list[tuple[int, int]]) -> bool:
+        ga, gb = self.gadj[a], self.gadj[b]
+        if b in ga:
             return False
         slots = self.slots
-        self.assign[tv] = e
-        self.edge_owner[e] = tv
-        self.slots = max(slots, a + 1, b + 1)
-        self.gadj.setdefault(a, set()).add(b)
-        self.gadj.setdefault(b, set()).add(a)
-        if not (self.new_triangles_ok(h, a, b) and self.open_edges_ok(h, tv)):
-            self.unplace(tv, a, b, slots)
+        self.assign[tv] = (a, b)
+        ga[b] = gb[a] = tv
+        self.slots = max(slots, b + 1)
+        if not (self.new_triangles_ok(hadj, a, b, tv) and self.closed(closes)):
+            self.unplace(a, b, slots)
             return False
         return True
 
-    def unplace(self, tv: int, a: int, b: int, slots: int):
+    def unplace(self, a: int, b: int, slots: int):
         """Undo `place`; `slots` is the high-water mark from before it."""
-        del self.assign[tv]
-        del self.edge_owner[(min(a, b), max(a, b))]
-        self.gadj[a].discard(b)
-        self.gadj[b].discard(a)
+        del self.gadj[a][b], self.gadj[b][a]
         self.slots = slots
 
 
-def _candidate_edges_for(state: _State, h: Graph, tv: int):
-    """Pairs (a, b) the target vertex tv may be assigned, respecting the
-    shared-endpoint constraint from already placed target neighbors and the
+def _depth_plan(h: Graph, order: list[int]):
+    """What each depth i checks, compiled once per target: order[i], its
+    neighbours placed before it, and the target edges uw whose ends and
+    common neighbours are all placed once order[i] is, which must be closed
+    there."""
+    pos = [0] * h.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    closes: list[list[tuple[int, int]]] = [[] for _ in order]
+    for u, w in h.edges:
+        last = max(pos[u], pos[w], *(pos[t] for t in h.adj[u] & h.adj[w]))
+        closes[last].append((u, w))
+    return [(v, [u for u in h.adj[v] if pos[u] < i], closes[i])
+            for i, v in enumerate(order)]
+
+
+def _candidate_edges_for(state: _State, nbrs: list[int]):
+    """Pairs (a, b) the next target vertex may be assigned, given its placed
+    neighbours `nbrs`, respecting the shared-endpoint constraint and the
     fresh-slot introduction order.  A placement opens at most two slots, so
     a leaf never uses more than 2|V(h)|.  An isolated edge (a, b), a < b,
     makes b a twin of a: swapping the two fixes the state, so an option
     holding b but not a is dropped; its mirror, holding a, sorts earlier."""
-    placed_nbrs = [w for w in h.adj[tv] if w in state.assign]
     fresh = state.slots
-    if placed_nbrs:
-        # the edge must share an endpoint with EVERY placed neighbor edge;
-        # enumerate pairs anchored at endpoints of one neighbor edge
-        anchor = set(state.assign[placed_nbrs[0]])
+    if nbrs:
+        # the edge shares an end a with the first neighbour's edge; its other
+        # end b is free if a meets every neighbour edge, else it is a common
+        # end of the edges a misses
+        edges = [state.assign[w] for w in nbrs]
         opts = set()
-        for a in anchor:
-            for b in range(fresh + 1):
-                if a == b:
-                    continue
-                pair = (min(a, b), max(a, b))
-                if all(state.assign[w][0] in pair or state.assign[w][1] in pair
-                       for w in placed_nbrs):
-                    opts.add(pair)
+        for a in edges[0]:
+            missed = [e for e in edges if a not in e]
+            ends = set(missed[0]).intersection(*missed[1:]) if missed \
+                else [b for b in range(fresh + 1) if b != a]
+            opts.update((a, b) if a < b else (b, a) for b in ends)
         opts = sorted(opts)
     else:
         # component start: any pair of existing slots, one fresh, or two fresh
@@ -177,37 +179,42 @@ def _candidate_edges_for(state: _State, h: Graph, tv: int):
     gadj = state.gadj
     twin = {b: a for a in range(fresh) if len(gadj[a]) == 1
             for b in gadj[a] if a < b and len(gadj[b]) == 1}
-    return [p for p in opts if all(twin.get(s, s) in p for s in p)]
+    return [p for p in opts if all(twin.get(s, s) in p for s in p)] if twin else opts
 
 
 def _certified_witnesses(h: Graph, limits: SearchLimits | None):
     """Yields a verified witness for every complete certified assignment of
     the target vertices to candidate edges: one per labeled preimage, since
     a relabeling mapping one leaf onto another fixes their common prefix's
-    edges, so it could only swap the ends of isolated ones (the twin cut)."""
+    edges, so it could only swap the ends of isolated ones (the twin cut).
+    A target edge in no triangle refutes the target before any node."""
     limits = limits or SearchLimits()
     if h.n > limits.max_target_vertices:
         raise CapacityError(
             f"target has {h.n} vertices, over the limit "
             f"{limits.max_target_vertices}")
+    hadj = h.adj
+    if any(not hadj[u] & hadj[w] for u, w in h.edges):
+        return
     order = _target_order(h)
-    state = _State()
+    plan = _depth_plan(h, order)
+    state = _State(h)
     budget = _Budget(limits)
 
     def rec(i: int):
-        if i == len(order):
-            cand = Graph(state.slots, state.edge_owner.keys())
-            w = PreimageWitness(h, cand, dict(state.edge_owner))
+        if i == len(plan):
+            owner = {state.assign[t]: t for t in order}
+            w = PreimageWitness(h, Graph(state.slots, owner), owner)
             if verify_certificate(w):
                 yield w
             return
-        tv = order[i]
-        for a, b in _candidate_edges_for(state, h, tv):
+        tv, nbrs, closes = plan[i]
+        for a, b in _candidate_edges_for(state, nbrs):
             budget.tick()
             slots = state.slots
-            if state.place(h, tv, a, b):
+            if state.place(hadj, tv, a, b, closes):
                 yield from rec(i + 1)
-                state.unplace(tv, a, b, slots)
+                state.unplace(a, b, slots)
 
     yield from rec(0)
 

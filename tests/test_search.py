@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 
+import networkx as nx
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from trilin.errors import (
     BudgetExceededError,
@@ -171,13 +173,22 @@ PENDANT = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])  # triangle plus a pendant
 @pytest.mark.parametrize("build, nodes", [
     (lambda: make_sun(7).graph, 712),
     (lambda: make_bowtie().graph, 22),
-    (lambda: PENDANT, 12),
-], ids=["sun7", "bowtie", "pendant"])
+    (lambda: PENDANT, 0),
+    (lambda: Graph(4, []), 107),
+    (lambda: Graph(5, []), 1_001),
+    (lambda: make_sun(8).graph, 2_387),
+    (lambda: make_wire(2).graph, 6_220),
+], ids=["sun7", "bowtie", "pendant", "edgeless4", "edgeless5", "sun8", "wire2"])
 def test_brute_force_node_counts(build, nodes):
-    # the exact number of search nodes, so that pruning changes are seen
-    brute_force_preimages(build(), SearchLimits(node_budget=nodes))
-    with pytest.raises(BudgetExceededError):
-        brute_force_preimages(build(), SearchLimits(node_budget=nodes - 1))
+    # the exact number of search nodes, so that pruning changes are seen;
+    # both functions walk the same tree.  PENDANT's pendant edge lies in no
+    # triangle, which refutes it before the first node.
+    h = build()
+    for run in (brute_force_preimages, count_labeled_preimages):
+        run(h, SearchLimits(max_target_vertices=64, node_budget=nodes))
+        if nodes:
+            with pytest.raises(BudgetExceededError):
+                run(h, SearchLimits(max_target_vertices=64, node_budget=nodes - 1))
 
 
 def test_open_edge_pruning_builds_only_leaves_that_verify(monkeypatch):
@@ -300,6 +311,53 @@ def test_leaves_are_distinct_on_operator_images(g):
 @given(small_graphs())
 def test_leaves_are_distinct_on_arbitrary_targets(h):
     _distinct_leaf_keys(h, node_budget=5_000)
+
+
+def _in_triangles(h: Graph) -> bool:
+    """Whether networkx finds every edge of h in a triangle of h."""
+    hx = nx.Graph(list(h.edges))
+    covered = {frozenset(e) for tri in nx.enumerate_all_cliques(hx) if len(tri) == 3
+               for e in itertools.combinations(tri, 2)}
+    return covered == {frozenset(e) for e in h.edges}
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(small_graphs())
+def test_every_edge_of_an_image_lies_in_a_triangle(g):
+    # the lemma behind the oracle's up-front refutation: an edge ef of T(G)
+    # comes from a triangle {e, f, g} of G, and g is adjacent to e and f
+    assert _in_triangles(triangular_line_graph(g).derived)
+
+
+def _assert_refuted_without_search(h):
+    limits = SearchLimits(max_target_vertices=64, node_budget=0)
+    assert brute_force_preimages(h, limits) == []
+    assert count_labeled_preimages(h, limits) == 0
+    assert is_tlg_small(h, limits) == ("NO", None)
+
+
+@pytest.mark.parametrize("h", [
+    *(Graph(n, [(i, i + 1) for i in range(n - 1)]) for n in (2, 3, 6)),
+    *(Graph(n, [(i, (i + 1) % n) for i in range(n)]) for n in (4, 5, 6)),
+    *(Graph(k + 1, [(0, i) for i in range(1, k + 1)]) for k in (3, 4, 5)),
+    PENDANT,
+], ids=["path2", "path3", "path6", "cycle4", "cycle5", "cycle6",
+        "star3", "star4", "star5", "pendant"])
+def test_edge_in_no_triangle_is_refuted_without_search(h):
+    assert not _in_triangles(h)
+    _assert_refuted_without_search(h)
+    # the target cap is checked first
+    with pytest.raises(CapacityError):
+        count_labeled_preimages(h, SearchLimits(max_target_vertices=h.n - 1))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(small_graphs(), st.integers(0))
+def test_image_plus_pendant_is_refuted_without_search(g, at):
+    # T(G) plus a pendant edge is no image, whatever T(G) is
+    t = triangular_line_graph(g).derived
+    assume(t.n > 0)
+    _assert_refuted_without_search(Graph(t.n + 1, [*t.edges, (at % t.n, t.n)]))
 
 
 # ---------------------------------------------------------------------------
