@@ -15,6 +15,14 @@ compiled once into a per-depth plan, and the placement after which uw's
 ends and common neighbours are all placed must leave (y, z) owned (forward
 checking), so a leaf is built only when no target edge is lost.
 
+A leaf and its image under an automorphism of the target have isomorphic
+candidates.  The class search (`brute_force_preimages`, `is_tlg_small`)
+cuts by the swaps of target twins: a prefix whose image under a swap,
+renumbered as the search numbers slots, sorts before it heads no first leaf
+of a class (the lex-leader test of Crawford, Ginsberg, Luks and Roy, KR
+1996).  `count_labeled_preimages` counts labeled preimages, so it walks the
+whole tree.
+
 The template solver never places single edges: it chooses a wheel or a
 squared cycle for each registered sun unit and glues the chosen templates
 along the triangles the units share (`Glue`).
@@ -136,11 +144,12 @@ class _State:
         self.slots = slots
 
 
-def _depth_plan(h: Graph, order: list[int]):
+def _depth_plan(h: Graph, order: list[int], swaps: list[tuple[int, int]]):
     """What each depth i checks, compiled once per target: order[i], its
-    neighbours placed before it, and the target edges uw whose ends and
-    common neighbours are all placed once order[i] is, which must be closed
-    there."""
+    neighbours placed before it, the target edges uw whose ends and common
+    neighbours are all placed once order[i] is, which must be closed there,
+    and the swaps whose later vertex is order[i], with the prefix of `order`
+    they are tested on."""
     pos = [0] * h.n
     for i, v in enumerate(order):
         pos[v] = i
@@ -148,8 +157,61 @@ def _depth_plan(h: Graph, order: list[int]):
     for u, w in h.edges:
         last = max(pos[u], pos[w], *(pos[t] for t in h.adj[u] & h.adj[w]))
         closes[last].append((u, w))
-    return [(v, [u for u in h.adj[v] if pos[u] < i], closes[i])
+    tests: list[list[tuple[int, int]]] = [[] for _ in order]
+    for u, w in swaps:
+        tests[max(pos[u], pos[w])].append((u, w))
+    return [(v, [u for u in h.adj[v] if pos[u] < i], closes[i], tests[i], order[:i + 1])
             for i, v in enumerate(order)]
+
+
+def _twin_swaps(h: Graph) -> list[tuple[int, int]]:
+    """Transpositions (u, w), u < w, of twins of h: N(u) = N(w) or
+    N[u] = N[w], so each is an automorphism of h.  Within each class of
+    twins, the swaps of consecutive members, which generate the class's
+    symmetric group.  No open neighbourhood N(u) equals another vertex's
+    closed one N[w]: w in N(u) puts u in N[w]."""
+    twins: dict[frozenset, list[int]] = {}
+    for v, nbrs in enumerate(h.adj):
+        twins.setdefault(frozenset(nbrs), []).append(v)
+        twins.setdefault(frozenset(nbrs | {v}), []).append(v)
+    return [(u, w) for vs in twins.values() for u, w in zip(vs, vs[1:])]
+
+
+def _renumbered(pairs):
+    """Yields the slot pairs `pairs` renumbered the way the search numbers
+    slots: a slot takes the next number at its first use, and of a pair of
+    two fresh slots, the end used again first takes the lesser number (the
+    twin cut).  Until one end is used again the pair reads the same either
+    way, so a prefix renumbers as the whole sequence begins."""
+    num: dict[int, int] = {}
+    fresh: dict[int, int] = {}  # each end of a fresh pair used once -> the other
+    for pair in pairs:
+        for s in pair:
+            t = fresh.pop(s, None)
+            if t is not None:
+                del fresh[t]
+                if num[s] > num[t]:
+                    num[s], num[t] = num[t], num[s]
+        new = [s for s in pair if s not in num]
+        for s in new:
+            num[s] = len(num)
+        if len(new) == 2:
+            a, b = new
+            fresh[a], fresh[b] = b, a
+        a, b = num[pair[0]], num[pair[1]]
+        yield (a, b) if a < b else (b, a)
+
+
+def _image_sorts_first(assign: list, seq: list[int], swap: tuple[int, int]) -> bool:
+    """Whether the assignment along `seq` (a prefix of the search's order),
+    read through the target automorphism `swap` and renumbered, sorts
+    strictly before the assignment itself."""
+    u, w = swap
+    image = _renumbered(assign[w if t == u else u if t == w else t] for t in seq)
+    for t, pair in zip(seq, image):
+        if pair != assign[t]:
+            return pair < assign[t]
+    return False
 
 
 def _candidate_edges_for(state: _State, nbrs: list[int]):
@@ -182,12 +244,18 @@ def _candidate_edges_for(state: _State, nbrs: list[int]):
     return [p for p in opts if all(twin.get(s, s) in p for s in p)] if twin else opts
 
 
-def _certified_witnesses(h: Graph, limits: SearchLimits | None):
+def _certified_witnesses(h: Graph, limits: SearchLimits | None, classes: bool = False):
     """Yields a verified witness for every complete certified assignment of
     the target vertices to candidate edges: one per labeled preimage, since
     a relabeling mapping one leaf onto another fixes their common prefix's
     edges, so it could only swap the ends of isolated ones (the twin cut).
-    A target edge in no triangle refutes the target before any node."""
+    A target edge in no triangle refutes the target before any node.
+
+    With `classes`, a leaf is skipped when its image under a transposition
+    of target twins (`_twin_swaps`) renumbers to an earlier leaf: that leaf
+    has an isomorphic candidate, so the first leaf of each isomorphism class
+    is kept.  Each swap is tested once its later vertex is placed, cutting
+    the subtree when the prefix's image sorts first, and again at the leaf."""
     limits = limits or SearchLimits()
     if h.n > limits.max_target_vertices:
         raise CapacityError(
@@ -197,23 +265,28 @@ def _certified_witnesses(h: Graph, limits: SearchLimits | None):
     if any(not hadj[u] & hadj[w] for u, w in h.edges):
         return
     order = _target_order(h)
-    plan = _depth_plan(h, order)
+    swaps = _twin_swaps(h) if classes else []
+    plan = _depth_plan(h, order, swaps)
     state = _State(h)
+    assign = state.assign
     budget = _Budget(limits)
 
     def rec(i: int):
         if i == len(plan):
-            owner = {state.assign[t]: t for t in order}
+            if any(_image_sorts_first(assign, order, swap) for swap in swaps):
+                return
+            owner = {assign[t]: t for t in order}
             w = PreimageWitness(h, Graph(state.slots, owner), owner)
             if verify_certificate(w):
                 yield w
             return
-        tv, nbrs, closes = plan[i]
+        tv, nbrs, closes, tests, seq = plan[i]
         for a, b in _candidate_edges_for(state, nbrs):
             budget.tick()
             slots = state.slots
             if state.place(hadj, tv, a, b, closes):
-                yield from rec(i + 1)
+                if not any(_image_sorts_first(assign, seq, swap) for swap in tests):
+                    yield from rec(i + 1)
                 state.unplace(a, b, slots)
 
     yield from rec(0)
@@ -223,13 +296,15 @@ def brute_force_preimages(h: Graph, limits: SearchLimits | None = None) -> list[
     """All preimage isomorphism classes of h, one verifying witness each.
 
     Complete within the candidate-vertex bound 2|V(h)|, which no preimage
-    can exceed.  Empty list means h has no preimage at all.  Each distinct
-    candidate is canonized once: a leaf's candidate has no isolated slot, so
-    its edge set determines it.
+    can exceed.  Empty list means h has no preimage at all.  The witness of
+    each class is its first leaf in search order, which the cut of twin
+    swaps never drops, and the classes are sorted by canonical form.  Each
+    distinct candidate is canonized once: a leaf's candidate has no
+    isolated slot, so its edge set determines it.
     """
     seen: dict[bytes, PreimageWitness] = {}
     forms: dict[frozenset, bytes] = {}
-    for w in _certified_witnesses(h, limits):
+    for w in _certified_witnesses(h, limits, classes=True):
         if (form := forms.get(w.candidate.edges)) is None:
             form = forms[w.candidate.edges] = canonical_form(w.candidate)
         seen.setdefault(form, w)
@@ -246,7 +321,7 @@ def is_tlg_small(h: Graph, limits: SearchLimits | None = None):
     """Three-valued recognition: ('YES', witness) / ('NO', None) /
     ('UNKNOWN', reason).  Stops at the first verified witness."""
     try:
-        w = next(_certified_witnesses(h, limits), None)
+        w = next(_certified_witnesses(h, limits, classes=True), None)
     except BudgetExceededError as exc:
         return ("UNKNOWN", str(exc))
     return ("NO", None) if w is None else ("YES", w)

@@ -162,7 +162,8 @@ def test_budget_raises_cleanly():
     with pytest.raises(BudgetExceededError, match="time budget"):
         brute_force_preimages(make_sun(7).graph, SearchLimits(time_budget=1e-9))
     # a budget of 0 seconds is a limit, not "no limit"; unbounded, this
-    # search runs for seconds to its 45 classes
+    # search takes 2,225 nodes to its 45 classes, past the clock's first
+    # reading at node 256
     with pytest.raises(BudgetExceededError, match="time budget"):
         brute_force_preimages(Graph(6, []), SearchLimits(time_budget=0))
 
@@ -170,21 +171,26 @@ def test_budget_raises_cleanly():
 PENDANT = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])  # triangle plus a pendant
 
 
-@pytest.mark.parametrize("build, nodes", [
-    (lambda: make_sun(7).graph, 712),
-    (lambda: make_bowtie().graph, 22),
-    (lambda: PENDANT, 0),
-    (lambda: Graph(4, []), 107),
-    (lambda: Graph(5, []), 1_001),
-    (lambda: make_sun(8).graph, 2_387),
-    (lambda: make_wire(2).graph, 6_220),
+@pytest.mark.parametrize("build, class_nodes, labeled_nodes", [
+    (lambda: make_sun(7).graph, 712, 712),
+    (lambda: make_bowtie().graph, 22, 22),
+    (lambda: PENDANT, 0, 0),
+    (lambda: Graph(4, []), 84, 107),
+    (lambda: Graph(5, []), 432, 1_001),
+    (lambda: make_sun(8).graph, 2_387, 2_387),
+    (lambda: make_wire(2).graph, 6_220, 6_220),
 ], ids=["sun7", "bowtie", "pendant", "edgeless4", "edgeless5", "sun8", "wire2"])
-def test_brute_force_node_counts(build, nodes):
-    # the exact number of search nodes, so that pruning changes are seen;
-    # both functions walk the same tree.  PENDANT's pendant edge lies in no
-    # triangle, which refutes it before the first node.
+def test_brute_force_node_counts(build, class_nodes, labeled_nodes):
+    # the exact number of search nodes, so that pruning changes are seen.
+    # count_labeled_preimages walks the whole tree; brute_force_preimages
+    # cuts leaves whose image under a swap of target twins sorts first.
+    # Here only the edgeless targets lose nodes: the suns and wire(2) have
+    # no twins, and the bowtie's one cut falls at its last depth.  PENDANT's
+    # pendant edge lies in no triangle, which refutes it before the first
+    # node.
     h = build()
-    for run in (brute_force_preimages, count_labeled_preimages):
+    for run, nodes in ((brute_force_preimages, class_nodes),
+                       (count_labeled_preimages, labeled_nodes)):
         run(h, SearchLimits(max_target_vertices=64, node_budget=nodes))
         if nodes:
             with pytest.raises(BudgetExceededError):
@@ -212,18 +218,19 @@ def test_open_edge_pruning_builds_only_leaves_that_verify(monkeypatch):
 
 
 @pytest.mark.parametrize("build, calls, digest", [
-    (lambda: Graph(3, []), 7,
+    (lambda: Graph(3, []), 4,
      "dcbd483348e2ed202262198723e054102ef08af4e1a42d02b173ea5d8f2555bd"),
-    (lambda: Graph(4, []), 38,
+    (lambda: Graph(4, []), 9,
      "77627d81ae6ae2be439c92b5082b58c2e439d9336a271492f136bbca595fb6d1"),
-    (lambda: Graph(5, []), 275,
+    (lambda: Graph(5, []), 24,
      "ceea57eb52998bce0dd817954583da50a4f09bd52ad7833ba435de982ea48b48"),
     (lambda: make_sun(7).graph, 2,
      "49e848a771c5beca6bff05a13f1605ff3a84d0ce1ba39c8bf0924f538c4394cf"),
 ], ids=["edgeless3", "edgeless4", "edgeless5", "sun7"])
 def test_oracle_canonizes_each_distinct_candidate_once(monkeypatch, build, calls, digest):
-    # canonizing every verified leaf took 17 / 149 / 1,829 / 4 calls; the
-    # witnesses kept, and their order, are those of that version
+    # canonizing every verified leaf took 17 / 149 / 1,829 / 4 calls, and
+    # every distinct candidate of the unpruned tree 7 / 38 / 275 / 2; the
+    # witnesses kept, and their order, are those of both versions
     counted = []
 
     def counting_form(g):
@@ -286,8 +293,8 @@ def test_each_leaf_is_one_labeled_preimage(build):
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 7))
+def small_graphs(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(n, [e for e, k in zip(pairs, keep) if k])
@@ -311,6 +318,152 @@ def test_leaves_are_distinct_on_operator_images(g):
 @given(small_graphs())
 def test_leaves_are_distinct_on_arbitrary_targets(h):
     _distinct_leaf_keys(h, node_budget=5_000)
+
+
+def _digest(w) -> str:
+    return hashlib.sha256(w.to_json().encode()).hexdigest()
+
+
+def _assert_matches_unpruned(h, node_budget=None) -> None:
+    """The reference for the oracle's class search: walk the whole tree,
+    without the cut of twin swaps, and keep the first leaf of each
+    canonical form.  brute_force_preimages must give the same classes, in
+    the same order, with the same first witnesses; is_tlg_small must give
+    the first leaf, and count_labeled_preimages the number of leaves.
+    Nothing is compared when the node budget runs out on the whole tree;
+    the pruned tree is a part of it, so it then fits the budget too."""
+    limits = SearchLimits(max_target_vertices=64, node_budget=node_budget)
+    forms: dict[frozenset, bytes] = {}
+    first: dict[bytes, str] = {}
+    leaves, head = 0, None
+    try:
+        for w in search._certified_witnesses(h, limits):
+            leaves += 1
+            head = head or w
+            if (form := forms.get(w.candidate.edges)) is None:
+                form = forms[w.candidate.edges] = canonical_form(w.candidate)
+            first.setdefault(form, _digest(w))
+    except BudgetExceededError:
+        return
+    assert [_digest(w) for w in brute_force_preimages(h, limits)] == \
+        [first[k] for k in sorted(first)]
+    status, w = is_tlg_small(h, limits)
+    assert (status, w and _digest(w)) == \
+        (("YES", _digest(head)) if head else ("NO", None))
+    assert count_labeled_preimages(h, limits) == leaves
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda n=n: Graph(n, []) for n in range(1, 7)),
+    pytest.param(lambda: Graph(7, []), marks=pytest.mark.slow),
+    lambda: make_bowtie().graph,
+    lambda: make_sun(7).graph,
+    lambda: make_sun(8).graph,
+    lambda: make_wire(2).graph,
+    lambda: PENDANT,
+    lambda: Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
+], ids=[*(f"edgeless{n}" for n in range(1, 8)),
+        "bowtie", "sun7", "sun8", "wire2", "pendant", "two_triangles"])
+def test_class_search_matches_unpruned_search(build):
+    # edgeless 7 is slow-marked: its whole tree has 120,083 leaves
+    _assert_matches_unpruned(build())
+
+
+def _assert_matches_unpruned_on(g: Graph) -> None:
+    # g itself, which is mostly no image, and its image T(g); a budget
+    # keeps near-edgeless targets cheap
+    _assert_matches_unpruned(g, node_budget=5_000)
+    _assert_matches_unpruned(triangular_line_graph(g).derived, node_budget=5_000)
+
+
+@leaf_examples
+@given(small_graphs())
+def test_class_search_matches_unpruned_search_on_small_graphs(g):
+    _assert_matches_unpruned_on(g)
+
+
+@pytest.mark.slow
+@settings(leaf_examples, max_examples=1_000)
+@given(small_graphs(max_n=8))
+def test_class_search_matches_unpruned_search_on_more_graphs(g):
+    _assert_matches_unpruned_on(g)
+
+
+def _leaf_sequence(h: Graph, w) -> tuple:
+    """A leaf as the search builds it: its slot pairs along the order in
+    which the target vertices are placed."""
+    pair = {t: e for e, t in w.edge_to_vertex.items()}
+    return tuple(pair[t] for t in search._target_order(h))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(small_graphs())
+def test_twin_swaps_are_automorphisms(h):
+    for u, w in search._twin_swaps(h):
+        swap = {u: w, w: u}
+        assert {tuple(sorted((swap.get(a, a), swap.get(b, b))))
+                for a, b in h.edges} == h.edges
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda n=n: Graph(n, []) for n in range(1, 7)),
+    lambda: make_bowtie().graph,
+    lambda: Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
+    lambda: make_sun(7).graph,
+], ids=[*(f"edgeless{n}" for n in range(1, 7)), "bowtie", "two_triangles", "sun7"])
+def test_swap_images_of_leaves_renumber_to_leaves(build):
+    # the cut is sound only if the renumbered image of a leaf is the leaf
+    # the search builds for that labeled preimage: a wrong tie-break between
+    # the ends of a fresh pair gives a sequence the search never builds
+    h = build()
+    order = search._target_order(h)
+    pos = {t: i for i, t in enumerate(order)}
+    leaves = {_leaf_sequence(h, w) for w in search._certified_witnesses(
+        h, SearchLimits(max_target_vertices=64))}
+    for seq in leaves:
+        assert tuple(search._renumbered(seq)) == seq
+        for u, w in search._twin_swaps(h):
+            swap = {u: w, w: u}
+            image = [seq[pos[swap.get(t, t)]] for t in order]
+            assert tuple(search._renumbered(image)) in leaves
+
+
+def _triangle_free_classes(max_edges: int) -> list[list[nx.Graph]]:
+    """networkx: the triangle-free graphs with k edges and no isolated
+    vertex, up to isomorphism, for k = 1..max_edges.  Each class of k edges
+    is grown from one of k - 1 by a new edge between two vertices with no
+    common neighbour, from a vertex to a new one, or between two new ones.
+    Candidates are bucketed by degree sequence before the isomorphism test."""
+    levels = [[nx.Graph([(0, 1)])]]
+    for _ in range(1, max_edges):
+        buckets: dict[tuple, list[nx.Graph]] = {}
+        for g in levels[-1]:
+            n = g.number_of_nodes()
+            new_edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
+                         if not g.has_edge(u, v) and not set(g[u]) & set(g[v])]
+            new_edges += [(u, n) for u in range(n)] + [(n, n + 1)]
+            for e in new_edges:
+                grown = nx.Graph(g)
+                grown.add_edge(*e)
+                key = tuple(sorted(d for _, d in grown.degree()))
+                bucket = buckets.setdefault(key, [])
+                if not any(nx.is_isomorphic(grown, other) for other in bucket):
+                    bucket.append(grown)
+        levels.append([g for bucket in buckets.values() for g in bucket])
+    return levels
+
+
+def test_edgeless_classes_are_the_triangle_free_graphs():
+    # T(G) is edgeless exactly when G is triangle-free, so the classes of
+    # the edgeless target on n vertices are the triangle-free graphs with n
+    # edges and no isolated vertex
+    levels = _triangle_free_classes(7)
+    assert [len(level) for level in levels] == [1, 2, 4, 9, 19, 45, 105]
+    for n, level in enumerate(levels, 1):
+        found = brute_force_preimages(Graph(n, []))
+        assert sorted(sorted(w.candidate.degree(v) for v in range(w.candidate.n))
+                      for w in found) == \
+            sorted(sorted(d for _, d in g.degree()) for g in level)
 
 
 def _in_triangles(h: Graph) -> bool:
