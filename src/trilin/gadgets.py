@@ -9,7 +9,7 @@ arising from merged triangles collapse silently (set semantics).
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .errors import StructureError
@@ -43,23 +43,26 @@ class GadgetBlueprint:
             raise StructureError(f"no sub-gadget named {path!r}")
 
     def to_json_obj(self) -> dict:
+        subs = self.sub_gadgets
         return {
             "graph": to_json_obj(self.graph),
             "kind": self.kind,
             "roles": {k: list(v) for k, v in sorted(self.roles.items())},
-            "sub_gadgets": {
+            "sub_gadgets": subs.to_json_obj() if isinstance(subs, _Registry) else {
                 name: {
                     "kind": sg.kind,
                     "vertices": list(sg.vertices),
                     "roles": {k: list(v) for k, v in sorted(sg.roles.items())},
                 }
-                for name, sg in sorted(self.sub_gadgets.items())
+                for name, sg in sorted(subs.items())
             },
             "meta": self.meta,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
+        # the registry and graph objects are built fresh and meta holds no
+        # cycle, so there is none to look for
+        return json.dumps(self.to_json_obj(), separators=(",", ":"), check_circular=False)
 
 
 def _vertex_names(g: Graph) -> list[str]:
@@ -103,15 +106,16 @@ class Assembly:
     """Incrementally builds a composite blueprint.
 
     Parts are added with a path prefix; identifications are collected in
-    union-id space and applied once at build time.  Each part's sub-gadgets
-    are kept in part coordinates with the part's offset; `sub` shifts one on
-    lookup, and a built blueprint's registry translates an entry through the
-    build's vertex map on its first read (see _Registry).
+    union-id space and applied once at build time.  Each part's edges and
+    sub-gadgets are kept in part coordinates with the part's offset; `sub`
+    shifts one on lookup, and a built blueprint's registry translates an
+    entry through the build's vertex map on its first read (see _Registry).
     """
 
     def __init__(self):
         self._n = 0
-        self._edges: list[tuple[int, int]] = []
+        # (offset, vertex count, edges in part coordinates) per part
+        self._parts: list[tuple[int, int, Iterable[tuple[int, int]]]] = []
         self._labels: list[str] = []
         self._subs: dict[str, tuple[int, SubGadget]] = {}
         self._pairs: list[tuple[int, int]] = []
@@ -126,12 +130,26 @@ class Assembly:
             raise StructureError(f"part {prefix!r} names two vertices {twice!r}")
         off = self._n
         self._n += g.n
-        self._edges.extend((u + off, v + off) for u, v in g.edges)
+        self._parts.append((off, g.n, g.edges))
         sep = f"={prefix}/"
-        self._labels.extend(f"{prefix}/{x.replace('=', sep)}" if prefix else x for x in names)
+        self._labels += [f"{prefix}/{x.replace('=', sep)}" for x in names] if prefix else names
         self._subs[prefix] = (off, SubGadget(bp.kind, tuple(range(g.n)), bp.roles))
         for name, sg in bp.sub_gadgets.items():
             self._subs[f"{prefix}/{name}" if prefix else name] = (off, sg)
+
+    def add_copy(self, part: Assembly, prefix: str) -> None:
+        """Add a copy of an unbuilt assembly, its identifications included,
+        with every path and label part under prefix: the state that
+        replaying part's adds and joins with their prefixes under prefix
+        would leave, without rebuilding any of its blueprints."""
+        off = self._n
+        self._n += part._n
+        self._parts += [(o + off, k, edges) for o, k, edges in part._parts]
+        sep = f"={prefix}/"
+        self._labels += [f"{prefix}/{x.replace('=', sep)}" for x in part._labels]
+        self._subs.update({f"{prefix}/{name}": (o + off, sg)
+                           for name, (o, sg) in part._subs.items()})
+        self._pairs += [(u + off, v + off) for u, v in part._pairs]
 
     def sub(self, path: str) -> SubGadget:
         try:
@@ -176,16 +194,16 @@ class Assembly:
             ru, rv = _find(parent, u), _find(parent, v)
             if ru != rv:
                 parent[max(ru, rv)] = min(ru, rv)
-        # every class is rooted at its least member, so new ids follow the roots
+        # every class is rooted at its least member, so new ids follow the
+        # roots, and off the roots parent[v] < v already has its new id
         vmap: list[int] = []
         labels: dict[int, str] = {}
-        for v in range(self._n):
-            r = _find(parent, v)
-            if r == v:
+        for v, p in enumerate(parent):
+            if p == v:
                 vmap.append(len(labels))
                 labels[len(labels)] = self._labels[v]
             else:
-                vmap.append(vmap[r])
+                vmap.append(vmap[p])
         # a label changes only on a merged vertex or when it has several parts
         merged = {x for pair in self._pairs for x in pair}
         parts: dict[int, set[str]] = {}
@@ -195,7 +213,11 @@ class Assembly:
         for nid, ps in parts.items():
             labels[nid] = "=".join(sorted(ps))
 
-        graph = Graph(len(labels), [(vmap[u], vmap[v]) for u, v in self._edges], labels)
+        edges = []
+        for off, k, part_edges in self._parts:
+            tr = vmap[off:off + k]
+            edges += [(tr[u], tr[v]) for u, v in part_edges]
+        graph = Graph(len(labels), edges, labels)
         return GadgetBlueprint(graph, kind, {}, _Registry(dict(self._subs), vmap), meta or {})
 
 
@@ -213,10 +235,26 @@ class _Registry(Mapping):
             sg = self._read[name] = self._translate(*self._entries[name])
         return sg
 
+    def _mapped(self, off: int, sg: SubGadget) -> tuple[list[int], dict[str, list[int]]]:
+        """An entry's vertices, sorted and distinct, and its roles, mapped
+        through the build's vertex map."""
+        vm = self._vmap
+        return (sorted({vm[x + off] for x in sg.vertices}),
+                {k: [vm[x + off] for x in v] for k, v in sg.roles.items()})
+
     def _translate(self, off: int, sg: SubGadget) -> SubGadget:
-        tr = lambda t: tuple(self._vmap[x + off] for x in t)
-        return SubGadget(sg.kind, tuple(sorted(set(tr(sg.vertices)))),
-                         {k: tr(v) for k, v in sg.roles.items()})
+        vertices, roles = self._mapped(off, sg)
+        return SubGadget(sg.kind, tuple(vertices), {k: tuple(v) for k, v in roles.items()})
+
+    def to_json_obj(self) -> dict:
+        """Every entry's JSON object by name, written straight from the
+        entry and the vertex map: the objects `__getitem__` would give,
+        without making or keeping them."""
+        out = {}
+        for name, (off, sg) in sorted(self._entries.items()):
+            vertices, roles = self._mapped(off, sg)
+            out[name] = {"kind": sg.kind, "vertices": vertices, "roles": dict(sorted(roles.items()))}
+        return out
 
     def __contains__(self, name) -> bool:
         return name in self._entries
@@ -425,13 +463,13 @@ def attach_not(a: GadgetBlueprint, bowtie_a: str,
     return _join(a, bowtie_a, b, bowtie_b, NOT, "not_join")
 
 
-def _add_wire(asm: Assembly, prefix: str, k: int) -> None:
-    """Add the 7-suns {prefix}H0..{prefix}Hk of a wire, NOT-joined in turn."""
+def _add_wire(asm: Assembly, k: int) -> None:
+    """Add the 7-suns H0..Hk of a wire, NOT-joined in turn."""
     sun = designate_attachments(make_sun(7))
     for i in range(k + 1):
-        asm.add(sun, f"{prefix}H{i}")
+        asm.add(sun, f"H{i}")
         if i > 0:
-            asm.bowtie_join(f"{prefix}H{i-1}/not", f"{prefix}H{i}/root", NOT)
+            asm.bowtie_join(f"H{i-1}/not", f"H{i}/root", NOT)
 
 
 def make_wire(k: int) -> GadgetBlueprint:
@@ -439,7 +477,7 @@ def make_wire(k: int) -> GadgetBlueprint:
     if k < 0:
         raise StructureError("wire length must be >= 0")
     asm = Assembly()
-    _add_wire(asm, "", k)
+    _add_wire(asm, k)
     return asm.build("wire", meta={"length": k})
 
 
@@ -459,24 +497,25 @@ def make_large_variable_gadget(i: int, j: int, k: int = 12) -> GadgetBlueprint:
                            base.sub_gadgets, meta)
 
 
-def _add_cluster(asm: Assembly, prefix: str, m: int, k: int) -> None:
-    """Add a variable's cluster (see make_variable_cluster) with every path
-    under prefix, so a formula composes its clusters in one Assembly."""
+def _cluster_assembly(m: int, k: int) -> Assembly:
+    """A variable's cluster (see make_variable_cluster), unbuilt, so a
+    formula copies it once per variable into one Assembly."""
     if m < 1:
         raise StructureError(f"variable cluster needs m >= 1, got {m}")
-    _add_wire(asm, prefix, 2 * m)
+    asm = Assembly()
+    _add_wire(asm, 2 * m)
     tap = make_large_variable_gadget(0, 1, k)  # add drops meta: one serves every tap
     for j in range(1, 2 * m + 1):
-        asm.add(tap, f"{prefix}V{j}")
-        asm.bowtie_join(f"{prefix}H{j}/equal", f"{prefix}V{j}/emb0/chain", EQUAL)
+        asm.add(tap, f"V{j}")
+        asm.bowtie_join(f"H{j}/equal", f"V{j}/emb0/chain", EQUAL)
+    return asm
 
 
 def make_variable_cluster(i: int, m: int, k: int = 12) -> GadgetBlueprint:
     """Wire of 2m+1 suns with a large variable gadget (an enforced k-sun)
     EQUAL-joined to each of H_1..H_2m.  Tap j stores x_i when j is even and
     its complement when odd."""
-    asm = Assembly()
-    _add_cluster(asm, "", m, k)
+    asm = _cluster_assembly(m, k)
     polarity = {j: ("pos" if j % 2 == 0 else "neg") for j in range(1, 2 * m + 1)}
     return asm.build("cluster", meta={"variable": i, "m": m, "polarity": polarity})
 

@@ -27,9 +27,13 @@ def _is_int(x) -> bool:
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1.
 
-    __slots__ = ("n", "edges", "labels", "_adj", "_sorted_edges")
+    `adj`, `sorted_edges` and the triangles (`enumerate_triangles`) are
+    computed once per object, on first use, and kept; equality and hashing
+    read only n, edges and labels."""
+
+    __slots__ = ("n", "edges", "labels", "_adj", "_sorted_edges", "_triangles")
 
     def __init__(
         self,
@@ -61,6 +65,7 @@ class Graph:
             self.labels = None
         self._adj = None
         self._sorted_edges = None
+        self._triangles = None
 
     @property
     def adj(self) -> list[set[int]]:
@@ -99,16 +104,18 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
-def enumerate_triangles(g: Graph) -> list[tuple[int, int, int]]:
-    """All 3-cliques, each exactly once, as sorted triples in sorted order."""
-    adj = g.adj
-    out = []
-    for u, v in g.sorted_edges:
-        for w in adj[u] & adj[v]:
-            if w > v:
-                out.append((u, v, w))
-    out.sort()
-    return out
+def enumerate_triangles(g: Graph) -> tuple[tuple[int, int, int], ...]:
+    """All 3-cliques, each exactly once, as sorted triples in sorted order;
+    enumerated on the first call and kept on g."""
+    if g._triangles is None:
+        nbrs: list[set[int]] = [set() for _ in range(g.n)]  # greater neighbours
+        for u, v in g.edges:
+            nbrs[u].add(v)
+        tris = [(u, v, w) for u, v in g.edges
+                for w in nbrs[v] if w > v and w in nbrs[u]]
+        tris.sort()
+        g._triangles = tuple(tris)
+    return g._triangles
 
 
 def triangle_count_per_vertex(g: Graph) -> list[int]:
@@ -121,9 +128,12 @@ def triangle_count_per_vertex(g: Graph) -> list[int]:
 
 
 def every_edge_in_unique_triangle(g: Graph) -> bool:
-    """True iff each edge belongs to exactly one triangle."""
-    adj = g.adj
-    return all(len(adj[u] & adj[v]) == 1 for u, v in g.edges)
+    """True iff each edge belongs to exactly one triangle: the triangles'
+    3t edges, edge (u, v) numbered u * n + v, are distinct and are all of
+    g's edges."""
+    n, tris = g.n, enumerate_triangles(g)
+    covered = {e for a, b, c in tris for e in (a * n + b, a * n + c, b * n + c)}
+    return len(covered) == 3 * len(tris) == len(g.edges)
 
 
 def induced_subgraph(g: Graph, vertex_set: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -100,15 +100,14 @@ class PreimageWitness:
 
 
 def _check_bijection(w: PreimageWitness) -> None:
-    dom = set(w.edge_to_vertex)
-    if dom != w.candidate.edges:
+    if w.edge_to_vertex.keys() != w.candidate.edges:
         raise CertificateError(
             "mapping domain is not exactly the candidate edge set"
         )
-    values = list(w.edge_to_vertex.values())
-    if len(set(values)) != len(values):
+    values = set(w.edge_to_vertex.values())
+    if len(values) != len(w.edge_to_vertex):
         raise CertificateError("mapping is not injective")
-    if set(values) != set(range(w.target.n)):
+    if values != set(range(w.target.n)):
         raise CertificateError("mapping does not cover the target vertex set")
 
 

@@ -32,7 +32,7 @@ from .errors import (
 from .gadgets import (
     Assembly,
     GadgetBlueprint,
-    _add_cluster,
+    _cluster_assembly,
     _clause_pairs,
     make_binary_enforced_sun,
 )
@@ -169,11 +169,12 @@ def compile_formula(formula: CnfFormula, enforce: int = 12) -> ReductionOutput:
     Refuses a formula with no clauses and `enforce` < 12."""
     _refuse_uncompilable(formula, enforce)
     m = len(formula.clauses)
+    cluster = _cluster_assembly(m, enforce)
     asm = Assembly()
     roots: dict[int, str] = {}
     for i in range(formula.variable_count):
         prefix = f"x{i + 1}"
-        _add_cluster(asm, f"{prefix}/", m, enforce)
+        asm.add_copy(cluster, prefix)
         roots[i] = f"{prefix}/H0"
     legs_by_clause: dict[int, tuple[str, str, str]] = {}
     for j, clause in enumerate(formula.clauses, start=1):

@@ -307,6 +307,25 @@ def test_assembly_prefixes_every_part_of_merged_labels():
     assert all(p.startswith("w/") for lab in labels for p in lab.split("="))
 
 
+def test_add_copy_equals_replaying_the_adds_under_the_prefix():
+    # a copy shifts ids and puts every path and label part, merged labels
+    # ("H0/c4=H1/c0") included, under its prefix, identifications and all
+    def fill(asm, prefix):
+        asm.add(make_wire(1), f"{prefix}w")
+        asm.add(make_bowtie(), f"{prefix}b")
+        asm.bowtie_join(f"{prefix}w/H1/equal", f"{prefix}b", gadgets.EQUAL)
+
+    part, copied, replayed = Assembly(), Assembly(), Assembly()
+    fill(part, "")
+    for i in range(2):
+        copied.add_copy(part, f"x{i}")
+        fill(replayed, f"x{i}/")
+    got, want = copied.build("copies"), replayed.build("copies")
+    assert got.to_json() == want.to_json()
+    assert any(lab.count("=") > 1 for lab in got.graph.labels.values())
+    assert dict(got.sub_gadgets) == dict(want.sub_gadgets)
+
+
 # ---------------------------------------------------------------------------
 # A built blueprint's registry, translated on first read
 # ---------------------------------------------------------------------------
@@ -324,7 +343,7 @@ def test_registry_equals_an_eager_translation():
     # translate every entry independently: union vertex -> its label part ->
     # the built vertex whose label holds that part
     asm = Assembly()
-    gadgets._add_cluster(asm, "x/", 1, 12)
+    asm.add_copy(gadgets._cluster_assembly(1, 12), "x")
     parts = list(asm._labels)
     names = list(asm._subs)
     shifted = {name: asm.sub(name) for name in names}

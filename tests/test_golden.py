@@ -10,7 +10,14 @@ import hashlib
 
 import pytest
 
-from trilin.gadgets import make_variable_cluster
+from trilin.gadgets import (
+    designate_attachments,
+    join_clause,
+    make_binary_enforced_sun,
+    make_sun,
+    make_variable_cluster,
+    make_wire,
+)
 from trilin.reduction import compile_formula, parse_dimacs
 
 ONE_CLAUSE = "p cnf 3 1\n1 2 3 0\n"
@@ -34,3 +41,19 @@ def test_compiled_blueprint_json_is_golden(dimacs, enforce, digest):
 def test_variable_cluster_json_is_golden():
     assert _sha(make_variable_cluster(0, 1, 12).to_json()) == \
         "f227dbfe576e509360aa326a91b41f46cad3dd740057823ed2adf1f98589b825"
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: make_binary_enforced_sun(16),
+     "5d5573f28aa66ce08339d93bf97b2aac22b5f18e1217c844603e9a33a1310375"),
+    (lambda: designate_attachments(make_sun(7)),
+     "6cfad7f45e982feda4d4dcfc8e5ca85109201ec4f0bf868fe5c8cb87a3681f6b"),
+    (lambda: make_wire(3),
+     "dcacb0a419ab77caec19a876637ccdad38f5b7076b6d9efbc0834d44a47690da"),
+    (lambda: join_clause(*[make_sun(12)] * 3),
+     "e320f5aee0ec4be7a484109415eabe8513749de1c0b5f4fe585c76d38e9a9efe"),
+], ids=["binary_sun16", "sun7_attachments", "wire3", "clause_sun12"])
+def test_serializer_shapes_are_golden(build, digest):
+    # two plain-dict registries and two built by Assembly, which the
+    # serializer writes straight from its entries
+    assert _sha(build().to_json()) == digest

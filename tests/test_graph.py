@@ -120,6 +120,26 @@ def test_every_edge_in_unique_triangle():
     assert not every_edge_in_unique_triangle(Graph(3, [(0, 1), (1, 2)]))
     # empty graph has no edges to violate the condition
     assert every_edge_in_unique_triangle(Graph(3, []))
+    assert every_edge_in_unique_triangle(make_sun(9).graph)
+    assert not every_edge_in_unique_triangle(make_wheel(6).graph)
+    # the definition, edge by edge
+    rng = random.Random(11)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice((0.3, 0.5, 0.8)))
+        adj = g.adj
+        assert every_edge_in_unique_triangle(g) == all(
+            len(adj[u] & adj[v]) == 1 for u, v in g.edges)
+
+
+def test_triangles_are_enumerated_once_per_graph():
+    g = make_wheel(6).graph
+    tris = enumerate_triangles(g)
+    assert isinstance(tris, tuple) and enumerate_triangles(g) is tris
+    assert triangle_count_per_vertex(g) == [2] * 6 + [6]
+    # equality and hashing read n, edges and labels, never the cache
+    fresh = Graph(g.n, g.edges, g.labels)
+    assert fresh == g and hash(fresh) == hash(g)
+    assert fresh != Graph(g.n, g.edges) and hash(Graph(g.n, g.edges)) == hash(g)
 
 
 def test_induced_subgraph():

@@ -18,6 +18,7 @@ from trilin.operators import (
     verify_certificate,
     witness_of_operator,
 )
+from trilin.reduction import compile_formula, parse_dimacs
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
@@ -151,6 +152,21 @@ def test_witness_rejects_tampered_map():
     bad = dict(w.edge_to_vertex)
     bad[e1], bad[e2] = v2, v1
     assert not verify_certificate(PreimageWitness(w.target, w.candidate, bad))
+
+
+def test_verification_after_the_operator_still_rejects_bad_witnesses():
+    # T(G) enumerates G's triangles and keeps them on G; verifying the
+    # operator's witness then reads the kept tuple
+    g = compile_formula(parse_dimacs("p cnf 3 1\n1 -2 3 0\n")).blueprint.graph
+    w = witness_of_operator(triangular_line_graph(g))
+    assert w.candidate is g and verify_certificate(w)
+    dropped = Graph(w.target.n, w.target.sorted_edges[1:])
+    assert not verify_certificate(PreimageWitness(dropped, w.candidate, w.edge_to_vertex))
+    items = sorted(w.edge_to_vertex.items())
+    (e1, v1), (e2, v2) = items[0], items[-1]
+    swapped = {**w.edge_to_vertex, e1: v2, e2: v1}
+    assert not verify_certificate(PreimageWitness(w.target, w.candidate, swapped))
+    assert verify_certificate(w)
 
 
 def test_witness_rejects_non_bijection():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 import re
 import subprocess
 import sys
@@ -14,11 +15,20 @@ from trilin.errors import (
     UnsatisfyingAssignmentError,
 )
 from trilin import reduction
-from trilin.gadgets import Assembly
+from trilin.gadgets import (
+    EQUAL,
+    NOT,
+    Assembly,
+    _clause_pairs,
+    designate_attachments,
+    make_large_variable_gadget,
+    make_sun,
+)
 from trilin.graph import every_edge_in_unique_triangle
 from trilin.operators import verify_certificate
 from trilin.reduction import (
     CnfFormula,
+    _tap_index,
     assignment_from_witness,
     compile_formula,
     decide,
@@ -135,8 +145,9 @@ def test_compile_builds_one_assembly(monkeypatch):
     assert not any(re.fullmatch(r"x\d+", name) for name in r.blueprint.sub_gadgets)
 
 
-def test_compile_builds_one_enforced_sun_per_variable(monkeypatch):
-    # every tap of a cluster adds the same large variable gadget
+def test_compile_builds_one_enforced_sun_per_formula(monkeypatch):
+    # every tap of a cluster adds the same large variable gadget, and every
+    # variable gets a copy of the same unbuilt cluster
     import trilin.gadgets as gadgets
 
     calls = []
@@ -144,7 +155,57 @@ def test_compile_builds_one_enforced_sun_per_variable(monkeypatch):
     monkeypatch.setattr(gadgets, "make_binary_enforced_sun",
                         lambda k: calls.append(k) or make(k))
     compile_formula(parse_dimacs("p cnf 4 2\n1 2 3 0\n-2 3 -4 0\n"))
-    assert calls == [12] * 4
+    assert calls == [12]
+    calls.clear()
+    gadgets.make_variable_cluster(0, 2, 13)
+    assert calls == [13]
+
+
+def _compile_per_variable(formula, enforce):
+    """The compiled blueprint built the long way: each variable's cluster
+    replayed into the formula's Assembly under its prefix, its suns and tap
+    added and joined anew (the construction compile_formula copies)."""
+    m = len(formula.clauses)
+    sun = designate_attachments(make_sun(7))
+    asm = Assembly()
+    for i in range(formula.variable_count):
+        x = f"x{i + 1}/"
+        for j in range(2 * m + 1):
+            asm.add(sun, f"{x}H{j}")
+            if j:
+                asm.bowtie_join(f"{x}H{j - 1}/not", f"{x}H{j}/root", NOT)
+        tap = make_large_variable_gadget(0, 1, enforce)
+        for j in range(1, 2 * m + 1):
+            asm.add(tap, f"{x}V{j}")
+            asm.bowtie_join(f"{x}H{j}/equal", f"{x}V{j}/emb0/chain", EQUAL)
+    for j, clause in enumerate(formula.clauses, start=1):
+        _clause_pairs(asm, [f"x{v + 1}/V{_tap_index(j, pos)}" for v, pos in clause])
+    return asm.build("reduction", meta={"variables": formula.variable_count,
+                                        "clauses": m})
+
+
+def _seeded_formulas(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, m = rng.randint(3, 6), rng.randint(1, 5)
+        yield CnfFormula(n, tuple(
+            tuple((v, rng.random() < 0.5) for v in rng.sample(range(n), 3))
+            for _ in range(m)))
+
+
+@pytest.mark.parametrize("enforce", [12, 13, 16])
+def test_copied_clusters_equal_the_per_variable_construction(enforce):
+    # compile_formula copies one unbuilt cluster per variable; the blueprint
+    # must be the one the per-variable replay builds, byte for byte, with
+    # the same labeled graph and the same sub-gadget under every name
+    for formula in _seeded_formulas(enforce, 3):
+        got = compile_formula(formula, enforce).blueprint
+        want = _compile_per_variable(formula, enforce)
+        assert got.to_json() == want.to_json()
+        assert got.graph == want.graph and got.graph.labels == want.graph.labels
+        assert list(got.sub_gadgets) == list(want.sub_gadgets)
+        for name in want.sub_gadgets:
+            assert got.sub(name) == want.sub(name), name
 
 
 def test_compile_rejects_empty_formula():
