@@ -48,6 +48,7 @@ from .operators import (
     PreimageWitness,
     triangular_line_graph,
     verify_certificate,
+    _map_rows,
 )
 from .reduction import (
     SOUND_ENFORCE,
@@ -150,7 +151,7 @@ def tlg_compute(graph_file, fmt, out):
     res = triangular_line_graph(g)
     _emit_graph(fmt, out, res.derived, lambda: json.dumps({
         "graph": to_json_obj(res.derived),
-        "map": [[u, v, t] for (u, v), t in sorted(res.edge_to_vertex.items())],
+        "map": _map_rows(res.edge_to_vertex),
     }, separators=(",", ":")))
 
 

@@ -235,25 +235,22 @@ class _Registry(Mapping):
             sg = self._read[name] = self._translate(*self._entries[name])
         return sg
 
-    def _mapped(self, off: int, sg: SubGadget) -> tuple[list[int], dict[str, list[int]]]:
-        """An entry's vertices, sorted and distinct, and its roles, mapped
-        through the build's vertex map."""
-        vm = self._vmap
-        return (sorted({vm[x + off] for x in sg.vertices}),
-                {k: [vm[x + off] for x in v] for k, v in sg.roles.items()})
-
     def _translate(self, off: int, sg: SubGadget) -> SubGadget:
-        vertices, roles = self._mapped(off, sg)
-        return SubGadget(sg.kind, tuple(vertices), {k: tuple(v) for k, v in roles.items()})
+        vm = self._vmap
+        return SubGadget(sg.kind, tuple(sorted({vm[x + off] for x in sg.vertices})),
+                         {k: tuple([vm[x + off] for x in v]) for k, v in sg.roles.items()})
 
     def to_json_obj(self) -> dict:
         """Every entry's JSON object by name, written straight from the
         entry and the vertex map: the objects `__getitem__` would give,
         without making or keeping them."""
-        out = {}
-        for name, (off, sg) in sorted(self._entries.items()):
-            vertices, roles = self._mapped(off, sg)
-            out[name] = {"kind": sg.kind, "vertices": vertices, "roles": dict(sorted(roles.items()))}
+        vm, entries, out = self._vmap, self._entries, {}
+        for name in sorted(entries):
+            off, sg = entries[name]
+            roles = sg.roles
+            out[name] = {"kind": sg.kind,
+                         "vertices": sorted({vm[x + off] for x in sg.vertices}),
+                         "roles": {k: [vm[x + off] for x in roles[k]] for k in sorted(roles)}}
         return out
 
     def __contains__(self, name) -> bool:

@@ -59,6 +59,11 @@ def triangular_line_graph(g: Graph) -> TlgResult:
 # ---------------------------------------------------------------------------
 
 
+def _map_rows(edge_to_vertex: dict[Edge, int]) -> list[tuple[int, int, int]]:
+    """The JSON rows (u, v, t) of an edge -> vertex map, in edge order."""
+    return [(e[0], e[1], edge_to_vertex[e]) for e in sorted(edge_to_vertex)]
+
+
 @dataclass(frozen=True)
 class PreimageWitness:
     """Candidate graph plus edge->vertex bijection onto the target graph."""
@@ -71,9 +76,7 @@ class PreimageWitness:
         return {
             "target": to_json_obj(self.target),
             "candidate": to_json_obj(self.candidate),
-            "map": [
-                [u, v, t] for (u, v), t in sorted(self.edge_to_vertex.items())
-            ],
+            "map": _map_rows(self.edge_to_vertex),
         }
 
     def to_json(self) -> str:
@@ -118,7 +121,8 @@ def verify_certificate(w: PreimageWitness) -> bool:
     E(candidate) -> V(target).
     """
     _check_bijection(w)
-    mapped = {_norm_edge(a, b) for a, b in _triangle_pairs(w.candidate, w.edge_to_vertex)}
+    mapped = {p if p[0] < p[1] else (p[1], p[0])
+              for p in _triangle_pairs(w.candidate, w.edge_to_vertex)}
     return mapped == w.target.edges
 
 

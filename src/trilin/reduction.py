@@ -184,6 +184,9 @@ def compile_formula(formula: CnfFormula, enforce: int = 12) -> ReductionOutput:
     bp = asm.build("reduction", meta={
         "variables": formula.variable_count, "clauses": m,
     })
+    # the JSON and T(G) read the sorted edges anyway; computed first, they
+    # hand enumerate_triangles nearly sorted triples
+    bp.graph.sorted_edges
     if not every_edge_in_unique_triangle(bp.graph):
         raise StructureError("compiled graph broke the unique-triangle invariant")
     return ReductionOutput(formula, bp, roots, legs_by_clause, enforce)

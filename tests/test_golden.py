@@ -1,4 +1,5 @@
-"""Golden outputs: SHA-256 of compiled blueprints' JSON.
+"""Golden outputs: SHA-256 of compiled blueprints' JSON and of the other
+JSON writers.
 
 A change that only makes the construction faster must keep these bytes; a
 change that means to alter the output updates the hashes and says why.
@@ -7,6 +8,7 @@ change that means to alter the output updates the hashes and says why.
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
@@ -18,7 +20,9 @@ from trilin.gadgets import (
     make_variable_cluster,
     make_wire,
 )
-from trilin.reduction import compile_formula, parse_dimacs
+from trilin.graph import Graph, to_json
+from trilin.operators import triangular_line_graph, witness_of_operator
+from trilin.reduction import CnfFormula, compile_formula, parse_dimacs
 
 ONE_CLAUSE = "p cnf 3 1\n1 2 3 0\n"
 THREE_CLAUSES = "p cnf 4 3\n1 2 4 0\n-1 3 4 0\n-1 2 -4 0\n"
@@ -57,3 +61,34 @@ def test_serializer_shapes_are_golden(build, digest):
     # two plain-dict registries and two built by Assembly, which the
     # serializer writes straight from its entries
     assert _sha(build().to_json()) == digest
+
+
+def test_operator_witness_json_is_golden():
+    r = compile_formula(parse_dimacs(THREE_CLAUSES), 16)
+    w = witness_of_operator(triangular_line_graph(r.blueprint.graph))
+    assert _sha(w.to_json()) == \
+        "19e1148bf666c567fc11dc84560063ad9357f0b93d93e7ee3a41a2da2dd88c89"
+
+
+def test_labels_json_is_written_in_vertex_order():
+    # edges given reversed and out of order, labels inserted last vertex first
+    g = Graph(6, [(5, 0), (1, 0), (2, 1), (4, 3), (3, 5), (2, 4)],
+              {v: f"v{5 - v}" for v in reversed(range(6))})
+    assert to_json(g) == (
+        '{"n":6,"edges":[[0,1],[0,5],[1,2],[2,4],[3,4],[3,5]],'
+        '"labels":{"0":"v5","1":"v4","2":"v3","3":"v2","4":"v1","5":"v0"}}')
+    assert _sha(to_json(g)) == \
+        "d29a3590a8116d3306b0b6fa70338ff92d28225928bcf2beb4adeefb36384aa3"
+
+
+def test_seeded_compiled_blueprints_are_golden():
+    # one digest over 12 seeded formulas, n <= 8 and m <= 6, at size 12
+    rng, h = random.Random(23), hashlib.sha256()
+    for _ in range(12):
+        n, m = rng.randint(3, 8), rng.randint(1, 6)
+        formula = CnfFormula(n, tuple(
+            tuple((v, rng.random() < 0.5) for v in rng.sample(range(n), 3))
+            for _ in range(m)))
+        h.update(compile_formula(formula, 12).blueprint.to_json().encode())
+    assert h.hexdigest() == \
+        "7ae4b3c52fe7f943652cffa3b57ed81c9e5e3e29824cdfb12b2fb8fa483f788b"

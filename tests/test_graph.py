@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from collections import namedtuple
 
 import networkx as nx
 import pytest
@@ -24,8 +25,10 @@ from trilin.graph import (
     to_dot,
     to_edgelist,
     to_json,
+    to_json_obj,
     triangle_count_per_vertex,
 )
+from trilin.reduction import compile_formula, parse_dimacs
 
 
 def k4_minus_edge() -> Graph:
@@ -71,6 +74,55 @@ def test_graph_bad_edge_messages():
         Graph(2, [(0, 2)])
     with pytest.raises(GraphConstructionError, match=r"^loop at vertex 0$"):
         Graph(2, [(0, 0)])
+    # the same messages for a reversed pair, a list and a negative id
+    with pytest.raises(GraphConstructionError,
+                       match=r"^edge \(2,0\) out of range for 2 vertices$"):
+        Graph(2, [(2, 0)])
+    with pytest.raises(GraphConstructionError,
+                       match=r"^edge \(-1,1\) out of range for 2 vertices$"):
+        Graph(2, [[-1, 1]])
+    with pytest.raises(GraphConstructionError, match=r"^loop at vertex 1$"):
+        Graph(2, [[1, 1]])
+
+
+Pair = namedtuple("Pair", "u v")
+
+
+def test_graph_keeps_an_ordered_tuple_edge():
+    e = (0, 1)
+    (kept,) = Graph(2, [e]).edges
+    assert kept is e
+
+
+@pytest.mark.parametrize("edge", [(1, 0), [0, 1], [1, 0], Pair(0, 1), Pair(1, 0)],
+                         ids=["reversed", "list", "reversed_list", "namedtuple",
+                              "reversed_namedtuple"])
+def test_graph_rebuilds_other_edges_as_plain_ordered_tuples(edge):
+    (kept,) = Graph(2, [edge]).edges
+    assert type(kept) is tuple and kept == (0, 1)
+
+
+@pytest.mark.parametrize("edges, labels", [
+    ([(False, True)], None),
+    ([(0, True)], None),
+    ([(0.0, 1)], None),
+    ([("0", 1)], None),
+    ([(0, 1)], {True: "a"}),
+    ([(0, 1)], {"0": "a"}),
+], ids=["bool_edge", "bool_endpoint", "float_endpoint", "string_endpoint",
+        "bool_label_key", "string_label_key"])
+def test_graph_rejects_non_int_vertex_ids(edges, labels):
+    # a bool id would be written as JSON true/false, which parse_json refuses
+    with pytest.raises(GraphConstructionError):
+        Graph(2, edges, labels)
+
+
+def test_json_object_shares_edges_and_copies_labels():
+    g = Graph(3, [(2, 1), (0, 1)], {1: "b", 0: "a"})
+    obj = to_json_obj(g)
+    assert obj["edges"] is g.sorted_edges == ((0, 1), (1, 2))
+    assert obj["labels"] is not g.labels
+    assert obj["labels"] == {"0": "a", "1": "b"}
 
 
 def test_graph_equality_is_labeled():
@@ -104,10 +156,38 @@ def test_triangle_count_matches_naive():
             for a, b, c in itertools.combinations(range(g.n), 3)
             if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
         ]
-        assert sorted(tris) == sorted(naive)
+        assert tris == tuple(naive)
         counts = triangle_count_per_vertex(g)
         for v in range(g.n):
             assert counts[v] == sum(1 for t in naive if v in t)
+
+
+def _naive_triangles(g: Graph) -> tuple:
+    return tuple((a, b, c) for a, b, c in itertools.combinations(range(g.n), 3)
+                 if g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c))
+
+
+@pytest.mark.parametrize("sorted_first", [False, True], ids=["edge_set", "sorted_edges"])
+def test_triangles_come_in_numeric_order(sorted_first):
+    # above 8 vertices a set of ints iterates out of numeric order, so the
+    # enumeration's order is its own sort's, on either path
+    rng = random.Random(23)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 40), rng.choice((0.1, 0.3, 0.6)))
+        if sorted_first:
+            assert len(g.sorted_edges) == len(g.edges)
+        assert enumerate_triangles(g) == _naive_triangles(g)
+
+
+def test_compiled_graph_triangles_come_in_numeric_order():
+    g = compile_formula(parse_dimacs("p cnf 4 2\n1 -2 3 0\n-1 2 4 0\n")).blueprint.graph
+    naive = tuple(sorted(tuple(sorted(c)) for c in nx.enumerate_all_cliques(
+        nx.Graph(list(g.edges))) if len(c) == 3))
+    assert len(naive) == len(g.edges) // 3 > 800
+    # compile_formula reads the triangles after sorting the edges; a copy
+    # without sorted edges takes the edge-set path
+    assert enumerate_triangles(g) == naive
+    assert enumerate_triangles(Graph(g.n, g.edges)) == naive
 
 
 def test_every_edge_in_unique_triangle():
