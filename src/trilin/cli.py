@@ -270,14 +270,13 @@ def reduce_cmd(cnf_file, fmt, out):
 
 @main.command("decide")
 @click.argument("cnf_file")
-@click.option("--max-vars", type=int, default=20)
 @_with_budget_options
 @out_option
-def decide_cmd(cnf_file, max_vars, time_budget, node_budget, out):
+def decide_cmd(cnf_file, time_budget, node_budget, out):
     """Decide satisfiability through the compiled graph's preimages."""
     formula = _read_formula(cnf_file)
     lim = _limits(time_budget, node_budget, None)
-    res = decide_formula(formula, lim, max_vars=max_vars)
+    res = decide_formula(formula, lim)
     payload = {"status": res.status}
     if res.assignment is not None:
         payload["assignment"] = [int(b) for b in res.assignment]

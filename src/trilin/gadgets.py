@@ -478,7 +478,7 @@ def make_wire(k: int) -> GadgetBlueprint:
     return asm.build("wire", meta={"length": k})
 
 
-def make_large_variable_gadget(i: int, j: int, k: int = 12) -> GadgetBlueprint:
+def make_large_variable_gadget(k: int = 12) -> GadgetBlueprint:
     """Binary-enforced k-sun whose embedded 7-sun at chain 0 is H'.
 
     H' attaches to the wire by an EQUAL gadget at its chain bowtie (centered
@@ -488,10 +488,7 @@ def make_large_variable_gadget(i: int, j: int, k: int = 12) -> GadgetBlueprint:
     base = make_binary_enforced_sun(k)
     roles = dict(base.roles)
     roles["hprime"] = base.sub("emb0").vertices
-    meta = {"variable": i, "tap": j, "hprime_unit": "emb0",
-            "equal_bowtie": "emb0/chain"}
-    return GadgetBlueprint(base.graph, "large_variable", roles,
-                           base.sub_gadgets, meta)
+    return GadgetBlueprint(base.graph, "large_variable", roles, base.sub_gadgets)
 
 
 def _cluster_assembly(m: int, k: int) -> Assembly:
@@ -501,7 +498,7 @@ def _cluster_assembly(m: int, k: int) -> Assembly:
         raise StructureError(f"variable cluster needs m >= 1, got {m}")
     asm = Assembly()
     _add_wire(asm, 2 * m)
-    tap = make_large_variable_gadget(0, 1, k)  # add drops meta: one serves every tap
+    tap = make_large_variable_gadget(k)
     for j in range(1, 2 * m + 1):
         asm.add(tap, f"V{j}")
         asm.bowtie_join(f"H{j}/equal", f"V{j}/emb0/chain", EQUAL)
@@ -518,15 +515,11 @@ def make_variable_cluster(i: int, m: int, k: int = 12) -> GadgetBlueprint:
 
 
 def _clause_pairs(asm: Assembly, legs: list[str]) -> None:
-    """Cyclic a/b triangle identification across three large suns."""
+    """Cyclic a/b triangle identification across three large suns, whose
+    roles the callers check (join_clause, _refuse_uncompilable)."""
     for ell in range(3):
-        sa = asm.sub(legs[ell])
-        sb = asm.sub(legs[(ell + 1) % 3])
-        for sg, path in ((sa, legs[ell]), (sb, legs[(ell + 1) % 3])):
-            if "a_triangle" not in sg.roles or "b_triangle" not in sg.roles:
-                raise StructureError(f"{path!r} lacks clause-attachment roles")
-        a1, a2, a3 = sa.roles["a_triangle"]
-        b1, b2, b3 = sb.roles["b_triangle"]
+        a1, a2, a3 = asm.sub(legs[ell]).roles["a_triangle"]
+        b1, b2, b3 = asm.sub(legs[(ell + 1) % 3]).roles["b_triangle"]
         asm.identify(a1, b1)
         asm.identify(a2, b3)
         asm.identify(a3, b2)

@@ -9,10 +9,11 @@ choices propagated from a satisfying assignment can all be realized.
 The enforcement size k is `enforce` (default 12, the paper's construction).
 At k = 12 the enforced sun admits only the all-wheel preimage (see
 template_solve on make_binary_enforced_sun(12)), so the squared-cycle side
-of a tap cannot be materialized: witness_from_assignment raises a
-CertificateError naming the tap, and decide()'s one budgeted tap check
-finds the collapse and reports UNSAT for every formula without compiling it
-or enumerating assignments.  SOUND_ENFORCE = 16 is the smallest size at
+of a tap cannot be materialized.  The tap check glues every unit of the
+enforced sun as a squared cycle; where that fails, witness_from_assignment
+raises a CertificateError naming the tap, and decide() reports UNSAT for
+every formula, with the failed glue as its reason, without compiling it or
+enumerating assignments.  SOUND_ENFORCE = 16 is the smallest size at
 which the compiled reduction is sound: there every satisfying assignment
 glues into a verified preimage, and decide() agrees with the truth table.
 """
@@ -49,10 +50,10 @@ from .search import (
     SearchLimits,
     _Budget,
     glue_templates,
-    template_solve,
 )
 
 SOUND_ENFORCE = 16
+MAX_VARS = 20  # decide enumerates all 2^n assignments
 
 Literal = tuple[int, bool]  # (0-based variable index, True = positive)
 
@@ -215,12 +216,17 @@ def _pins(r: ReductionOutput, assignment: tuple[bool, ...]) -> dict[str, str]:
     return pins
 
 
-def _cycle_tap_feasible(k: int, budget: _Budget) -> bool:
-    """Whether the enforced k-sun admits a squared-cycle-side preimage,
-    searched under the caller's budget.  Every assignment needs one: with
-    m >= 1 clauses each variable has squared-cycle taps of one parity."""
-    return bool(template_solve(make_binary_enforced_sun(k), budget,
-                               pin={"emb0": SQUARED_CYCLE}, max_results=1))
+def _cycle_tap_failure(k: int, budget: _Budget) -> str | None:
+    """Why the enforced k-sun has no squared-cycle-side preimage, or None
+    when it has one: the glue of every unit as a squared cycle, built under
+    the caller's budget.  Every assignment needs one: with m >= 1 clauses
+    each variable has squared-cycle taps of one parity."""
+    bp = make_binary_enforced_sun(k)
+    try:
+        glue_templates(bp, dict.fromkeys(bp.sub_gadgets, SQUARED_CYCLE), budget)
+    except CertificateError as exc:
+        return str(exc).partition(": ")[2]  # after the glue's generic head
+    return None
 
 
 def witness_from_assignment(r: ReductionOutput, assignment: tuple[bool, ...],
@@ -237,7 +243,7 @@ def witness_from_assignment(r: ReductionOutput, assignment: tuple[bool, ...],
         raise UnsatisfyingAssignmentError(bad)
     budget = _Budget(limits or SearchLimits())
     k = r.enforce
-    if not _cycle_tap_feasible(k, budget):
+    if _cycle_tap_failure(k, budget) is not None:
         needy = sorted(name for name, kind in _pins(r, assignment).items()
                        if kind == SQUARED_CYCLE and name.endswith(f"/sun{k}"))
         raise CertificateError(
@@ -289,26 +295,30 @@ class DecisionResult:
 
 
 def decide(formula: CnfFormula, limits: SearchLimits | None = None,
-           max_vars: int = 20, enforce: int = 12) -> DecisionResult:
+           enforce: int = 12) -> DecisionResult:
     """Exponential desk-scale decision.  One tap check first, before
     compiling: every assignment needs squared-cycle taps, so UNSAT at once
-    when the enforced sun has none.  Otherwise keep the first satisfying
-    assignment, in lexicographic order, whose prescribed preimage glues and
-    verifies.  `limits` bounds the whole decision, the tap check and every
-    glue included; budget exhaustion reports UNKNOWN.  `enforce` is the tap
-    size of the compiled graph; only 16 is known to give the truth table's
-    answers (see compile_formula for the measured sizes).  Like
-    compile_formula, refuses a formula with no clauses and `enforce` < 12."""
+    when the enforced sun has none, with the failed glue as the reason.
+    Otherwise keep the first satisfying assignment, in lexicographic order,
+    whose prescribed preimage glues and verifies.  `limits` bounds the whole
+    decision, the tap check and every glue included; budget exhaustion
+    reports UNKNOWN.  `enforce` is the tap size of the compiled graph; only
+    16 is known to give the truth table's answers (see compile_formula for
+    the measured sizes).  Refuses a formula of more than MAX_VARS variables
+    and, like compile_formula, one with no clauses and `enforce` < 12."""
     n = formula.variable_count
-    if n > max_vars:
+    if n > MAX_VARS:
         raise StructureError(
-            f"refusing {n}-variable formula (guard {max_vars}); "
+            f"refusing {n}-variable formula (guard {MAX_VARS}); "
             "the decision procedure is exponential")
     _refuse_uncompilable(formula, enforce)
     budget = _Budget(limits or SearchLimits())
     try:
-        if not _cycle_tap_feasible(enforce, budget):
-            return DecisionResult("UNSAT")
+        failure = _cycle_tap_failure(enforce, budget)
+        if failure is not None:
+            return DecisionResult("UNSAT", reason=(
+                f"the enforced {enforce}-sun has no squared-cycle-side "
+                f"preimage: {failure}"))
         r = compile_formula(formula, enforce)
         for bits in itertools.product((False, True), repeat=n):
             budget.tick()

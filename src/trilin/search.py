@@ -52,6 +52,10 @@ class SearchLimits:
 
 class _Budget:
     def __init__(self, limits: SearchLimits):
+        for key in ("time_budget", "node_budget"):
+            v = getattr(limits, key)
+            if v is not None and not v >= 0:  # NaN too: it would never fire
+                raise StructureError(f"{key} must be non-negative, got {v!r}")
         self.nodes = 0
         self.node_budget = limits.node_budget
         self.deadline = (time.monotonic() + limits.time_budget
@@ -257,6 +261,7 @@ def _certified_witnesses(h: Graph, limits: SearchLimits | None, classes: bool = 
     is kept.  Each swap is tested once its later vertex is placed, cutting
     the subtree when the prefix's image sorts first, and again at the leaf."""
     limits = limits or SearchLimits()
+    budget = _Budget(limits)
     if h.n > limits.max_target_vertices:
         raise CapacityError(
             f"target has {h.n} vertices, over the limit "
@@ -269,7 +274,6 @@ def _certified_witnesses(h: Graph, limits: SearchLimits | None, classes: bool = 
     plan = _depth_plan(h, order, swaps)
     state = _State(h)
     assign = state.assign
-    budget = _Budget(limits)
 
     def rec(i: int):
         if i == len(plan):
@@ -533,6 +537,13 @@ def unit_parts(units):
         offset += k + 1
 
 
+def _verifies(w: PreimageWitness) -> bool:
+    """verify_certificate on a glued witness, false where the glue put two
+    target vertices on one candidate edge (as the 4-sun's squared template
+    puts two apexes on one chord), an edge map verify_certificate refuses."""
+    return len(w.edge_to_vertex) == w.target.n and verify_certificate(w)
+
+
 def _plan(bp: GadgetBlueprint, units, pin: dict[str, str]) -> list:
     """The glue search's plan: (name, parts, kinds to try) per unit, in a
     greedy fail-first order, from one map of each vertex to its units.
@@ -652,7 +663,7 @@ def template_solve(bp: GadgetBlueprint,
         if key in results:
             continue
         w = glue.witness()
-        if verify_certificate(w):
+        if _verifies(w):
             results[key] = TemplateAssignment(dict(choices), w)
             if max_results is not None and len(results) >= max_results:
                 break
@@ -680,7 +691,7 @@ def glue_templates(bp: GadgetBlueprint, choices: dict[str, str],
     stuck: list = []
     for _, glue in _glue_search(bp.graph, plan, limits, stuck):
         w = glue.witness()
-        if verify_certificate(w):
+        if _verifies(w):
             return w
         stuck[:] = (len(units), None, None, None)  # deeper than any unit
     _, name, kind, failure = stuck

@@ -178,8 +178,6 @@ def test_decide_exit_codes(tmp_path):
     res = run_cli("decide", str(sat), "--node-budget", "1")
     assert res.returncode == 3
     assert json.loads(res.stdout)["status"] == "UNKNOWN"
-    res = run_cli("decide", str(sat), "--max-vars", "2")
-    assert res.returncode == 2
     # a negative or NaN budget is a usage error; 0 is a bound
     for flag, value, shown in (("--node-budget", "-5", "-5"),
                                ("--time-budget", "-1", "-1.0"),
@@ -287,6 +285,7 @@ TRANSCRIPT_FILES = {
     "f.cnf": SINGLE,
     "bad.cnf": "p cnf 3 1\n1 2 3\n",
     "empty.cnf": "p cnf 3 0\n",
+    "big.cnf": "p cnf 21 1\n1 2 3 0\n",
 }
 
 # (arguments, exit code, SHA-256 prefix of stdout followed by what --out
@@ -346,11 +345,11 @@ TRANSCRIPT = [
     (("reduce", "bad.cnf"),
      2, "e3b0c44298fc1c14", "error: last clause not 0-terminated"),
     (("reduce", "empty.cnf"), 2, "e3b0c44298fc1c14", "error: formula has no clauses"),
-    (("decide", "f.cnf"), 1, "00c11b8b7538a806", ""),
+    (("decide", "f.cnf"), 1, "9a3f0bca1dd309b7", ""),
     (("decide", "f.cnf", "--node-budget", "1"), 3, "7f9dfabe58790d30", ""),
-    (("decide", "f.cnf", "--max-vars", "2"),
+    (("decide", "big.cnf"),
      2, "e3b0c44298fc1c14",
-     "error: refusing 3-variable formula (guard 2); the decision procedure is "
+     "error: refusing 21-variable formula (guard 20); the decision procedure is "
      "exponential"),
     (("decide", "empty.cnf"), 2, "e3b0c44298fc1c14", "error: formula has no clauses"),
     (("witness", "f.cnf", "000"),

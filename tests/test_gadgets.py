@@ -244,7 +244,7 @@ def test_variable_cluster_rejects_zero_clauses():
 
 
 def test_large_variable_gadget_registers_chain_bowtie():
-    bp = make_large_variable_gadget(0, 1)
+    bp = make_large_variable_gadget()
     assert bp.sub("emb0/chain").kind == "bowtie"
     with pytest.raises(StructureError, match="no sub-gadget named 'nope'"):
         make_sun(7).sub("nope")

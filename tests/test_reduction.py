@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from trilin.errors import (
+    BudgetExceededError,
     CertificateError,
     ParseError,
     StructureError,
@@ -21,6 +22,7 @@ from trilin.gadgets import (
     Assembly,
     _clause_pairs,
     designate_attachments,
+    make_binary_enforced_sun,
     make_large_variable_gadget,
     make_sun,
 )
@@ -37,7 +39,7 @@ from trilin.reduction import (
     violated_clause,
     witness_from_assignment,
 )
-from trilin.search import SearchLimits, template_solve
+from trilin.search import SQUARED_CYCLE, SearchLimits, _Budget, template_solve
 
 from test_acceptance import build_corpus
 
@@ -174,7 +176,7 @@ def _compile_per_variable(formula, enforce):
             asm.add(sun, f"{x}H{j}")
             if j:
                 asm.bowtie_join(f"{x}H{j - 1}/not", f"{x}H{j}/root", NOT)
-        tap = make_large_variable_gadget(0, 1, enforce)
+        tap = make_large_variable_gadget(enforce)
         for j in range(1, 2 * m + 1):
             asm.add(tap, f"{x}V{j}")
             asm.bowtie_join(f"{x}H{j}/equal", f"{x}V{j}/emb0/chain", EQUAL)
@@ -324,8 +326,6 @@ def test_decide_guard_on_variable_count():
     f = CnfFormula(21, (((0, True), (1, True), (2, True)),))
     with pytest.raises(StructureError):
         decide(f)
-    with pytest.raises(StructureError):
-        decide(parse_dimacs(SINGLE), max_vars=2)
 
 
 def test_decide_budget_reports_unknown():
@@ -334,8 +334,13 @@ def test_decide_budget_reports_unknown():
     assert "budget" in res.reason.lower()
 
 
+def test_decide_refuses_a_nan_budget():
+    with pytest.raises(StructureError, match="^time_budget must be non-negative, got nan$"):
+        decide(parse_dimacs(SINGLE), SearchLimits(time_budget=float("nan")))
+
+
 def test_decide_budget_holds_across_assignments():
-    # at size 13 the tap check takes 27 nodes and each of the 7 satisfying
+    # at size 13 the tap check takes 14 nodes and each of the 7 satisfying
     # assignments fails to glue after 46-48 more; one budget for the whole
     # decision runs out in the first glue
     res = decide(parse_dimacs(SINGLE), SearchLimits(node_budget=48), enforce=13)
@@ -369,7 +374,7 @@ def test_decide_tries_the_next_assignment_after_a_failed_glue(
 
 def test_decide_tap_check_ticks_the_decision_budget():
     # a fresh interpreter, so a tap check cached by an earlier call cannot
-    # hide ticks; the enforced 16-sun's check needs 33 nodes, so a budget
+    # hide ticks; the enforced 16-sun's check needs 17 nodes, so a budget
     # of 5 stops it
     script = (
         "from trilin import search\n"
@@ -394,8 +399,32 @@ def test_decide_skips_the_loop_when_no_tap_materializes(monkeypatch):
     compiled = []
     monkeypatch.setattr(reduction, "compile_formula", lambda *a: compiled.append(a))
     f = CnfFormula(20, (((0, True), (1, True), (2, True)),))
-    assert decide(f, SearchLimits(node_budget=10_000)).status == "UNSAT"
+    res = decide(f, SearchLimits(node_budget=10_000))
+    assert res.status == "UNSAT"
     assert compiled == []
+    # the reason names the unit whose squared-cycle template fails to glue
+    assert res.reason == (
+        "the enforced 12-sun has no squared-cycle-side preimage: gluing the "
+        "SQUARED_CYCLE template of emb3 makes a triangle the target lacks")
+
+
+def test_tap_check_fails_exactly_where_the_search_finds_no_cycle_side():
+    # the reference is the search the built check replaced: the enforced
+    # sun's squared-cycle-side vectors with only emb0 pinned
+    for k in range(9, 41):
+        built = reduction._cycle_tap_failure(k, _Budget(SearchLimits()))
+        searched = template_solve(make_binary_enforced_sun(k),
+                                  pin={"emb0": SQUARED_CYCLE}, max_results=1)
+        assert (built is None) == bool(searched), k
+
+
+@pytest.mark.parametrize("k, nodes", [(12, 7), (16, 17)])
+def test_tap_check_node_counts(k, nodes):
+    # the exact number of glue nodes: k + 1 where the tap glues, fewer where
+    # it fails (at 12, on emb3)
+    reduction._cycle_tap_failure(k, _Budget(SearchLimits(node_budget=nodes)))
+    with pytest.raises(BudgetExceededError):
+        reduction._cycle_tap_failure(k, _Budget(SearchLimits(node_budget=nodes - 1)))
 
 
 UNSAT8 = "p cnf 3 8\n" + "".join(

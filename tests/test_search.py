@@ -168,6 +168,22 @@ def test_budget_raises_cleanly():
         brute_force_preimages(Graph(6, []), SearchLimits(time_budget=0))
 
 
+@pytest.mark.parametrize("limits, shown", [
+    (SearchLimits(time_budget=float("nan")), "time_budget must be non-negative, got nan"),
+    (SearchLimits(node_budget=float("nan")), "node_budget must be non-negative, got nan"),
+    (SearchLimits(time_budget=-1.0), "time_budget must be non-negative, got -1.0"),
+    (SearchLimits(node_budget=-1), "node_budget must be non-negative, got -1"),
+], ids=["nan_time", "nan_nodes", "negative_time", "negative_nodes"])
+def test_search_refuses_a_budget_that_never_fires(limits, shown):
+    # a NaN deadline or node budget compares false forever; the refusal
+    # comes before any node, also for a target refuted before the first
+    for target in (make_sun(7).graph, PENDANT):
+        with pytest.raises(StructureError, match=f"^{shown}$"):
+            is_tlg_small(target, limits)
+    with pytest.raises(StructureError, match=f"^{shown}$"):
+        template_solve(make_sun(7), limits)
+
+
 PENDANT = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])  # triangle plus a pendant
 
 
@@ -554,6 +570,45 @@ def test_template_solve_agrees_with_oracle_on_7sun():
     brute = {canonical_form(w.candidate)
              for w in brute_force_preimages(make_sun(7).graph)}
     assert solved == brute
+
+
+def _template_kinds(k: int, witnesses) -> list:
+    """The template each witness's candidate is isomorphic to, or None."""
+    templates = {WHEEL: make_wheel(k).graph}
+    if k >= 5:  # the squared 4-cycle is no simple graph
+        templates[SQUARED_CYCLE] = make_squared_cycle(k).graph
+    return [next((kind for kind, t in templates.items()
+                  if is_isomorphic(w.candidate, t)), None) for w in witnesses]
+
+
+@pytest.mark.parametrize("k, kinds", [
+    (4, {WHEEL}), (5, {WHEEL}), (6, {WHEEL}), (7, {WHEEL, SQUARED_CYCLE}),
+])
+def test_template_solve_matches_the_oracle_on_small_suns(k, kinds):
+    # every oracle class of a small sun is a template, and template_solve
+    # finds exactly those kinds; the 4-sun's squared glue, whose edge map
+    # is no bijection, counts as a glue that does not verify
+    classes = _template_kinds(k, brute_force_preimages(make_sun(k).graph))
+    assert sorted(classes) == sorted(kinds)
+    assert {a.choices["self"] for a in template_solve(make_sun(k))} == kinds
+
+
+def test_four_sun_squared_glue_does_not_verify():
+    # the squared template puts apexes 0 and 2 on the one chord (0, 2)
+    with pytest.raises(CertificateError,
+                       match="the glued candidate does not verify$"):
+        glue_templates(make_sun(4), {"self": SQUARED_CYCLE})
+
+
+def test_lone_eight_sun_has_classes_no_template_reaches():
+    # a lone k-sun unit is complete only conditionally: of the 8-sun's 7
+    # preimage classes (32 labeled preimages) only the wheel and the squared
+    # cycle are templates, and template_solve returns just their 2 vectors
+    g = make_sun(8).graph
+    classes = _template_kinds(8, brute_force_preimages(g))
+    assert len(classes) == 7 and count_labeled_preimages(g) == 32
+    assert sorted(kind for kind in classes if kind) == [SQUARED_CYCLE, WHEEL]
+    assert len(template_solve(make_sun(8))) == 2
 
 
 def _sun7_join(attach, bowtie):
