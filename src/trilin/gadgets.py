@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _escape
+from operator import itemgetter
 
 from .errors import StructureError
 from .graph import Graph, _find, to_json_obj
@@ -43,26 +45,27 @@ class GadgetBlueprint:
             raise StructureError(f"no sub-gadget named {path!r}")
 
     def to_json_obj(self) -> dict:
-        subs = self.sub_gadgets
-        return {
-            "graph": to_json_obj(self.graph),
-            "kind": self.kind,
-            "roles": {k: list(v) for k, v in sorted(self.roles.items())},
-            "sub_gadgets": subs.to_json_obj() if isinstance(subs, _Registry) else {
-                name: {
-                    "kind": sg.kind,
-                    "vertices": list(sg.vertices),
-                    "roles": {k: list(v) for k, v in sorted(sg.roles.items())},
-                }
-                for name, sg in sorted(subs.items())
-            },
-            "meta": self.meta,
-        }
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        # the registry and graph objects are built fresh and meta holds no
-        # cycle, so there is none to look for
-        return json.dumps(self.to_json_obj(), separators=(",", ":"), check_circular=False)
+        """The blueprint as compact JSON.  `json.dumps` writes the graph,
+        kind, roles and meta; a built registry writes its own text (see
+        _Registry.to_json), which is spliced in, and a plain dict of
+        SubGadgets is dumped with each entry's vertices in stored order."""
+        subs = self.sub_gadgets
+        reg = subs.to_json() if isinstance(subs, _Registry) else _dumps({
+            name: {"kind": sg.kind, "vertices": list(sg.vertices),
+                   "roles": {k: list(v) for k, v in sorted(sg.roles.items())}}
+            for name, sg in sorted(subs.items())})
+        head = _dumps({"graph": to_json_obj(self.graph), "kind": self.kind,
+                       "roles": {k: list(v) for k, v in sorted(self.roles.items())}})
+        return f'{head[:-1]},"sub_gadgets":{reg},{_dumps({"meta": self.meta})[1:]}'
+
+
+def _dumps(obj) -> str:
+    # the objects are built fresh and meta holds no cycle, so there is
+    # none to look for
+    return json.dumps(obj, separators=(",", ":"), check_circular=False)
 
 
 def _vertex_names(g: Graph) -> list[str]:
@@ -224,7 +227,9 @@ class Assembly:
 class _Registry(Mapping):
     """A built blueprint's read-only sub-gadget registry: the assembly's
     (offset, SubGadget) entries in part coordinates, each translated through
-    the build's vertex map the first time it is read, then kept."""
+    the build's vertex map the first time it is read, then kept.  Its JSON
+    text is written from the entries and the vertex map, with no entry
+    translated (to_json)."""
 
     def __init__(self, entries: dict[str, tuple[int, SubGadget]], vmap: list[int]):
         self._entries, self._vmap, self._read = entries, vmap, {}
@@ -240,18 +245,31 @@ class _Registry(Mapping):
         return SubGadget(sg.kind, tuple(sorted({vm[x + off] for x in sg.vertices})),
                          {k: tuple([vm[x + off] for x in v]) for k, v in sg.roles.items()})
 
-    def to_json_obj(self) -> dict:
-        """Every entry's JSON object by name, written straight from the
-        entry and the vertex map: the objects `__getitem__` would give,
-        without making or keeping them."""
-        vm, entries, out = self._vmap, self._entries, {}
+    def to_json(self) -> str:
+        """The JSON text of every entry by name, as `json.dumps` would
+        write the SubGadgets `__getitem__` gives, without making or keeping
+        them.  Each built vertex id becomes text once, and each distinct
+        SubGadget object (the entries copied per variable share one) is
+        planned once; an entry is then its slice of the vertex map,
+        gathered, sorted and joined for its vertices, and the same slice of
+        the map's text, gathered and joined for each role."""
+        vm, entries = self._vmap, self._entries
+        tx = list(map(str, range(max(vm, default=-1) + 1))).__getitem__
+        vm_text = list(map(tx, vm))
+        plans: dict[int, tuple] = {}
+        out = []
         for name in sorted(entries):
             off, sg = entries[name]
-            roles = sg.roles
-            out[name] = {"kind": sg.kind,
-                         "vertices": sorted({vm[x + off] for x in sg.vertices}),
-                         "roles": {k: [vm[x + off] for x in roles[k]] for k in sorted(roles)}}
-        return out
+            plan = plans.get(id(sg))
+            if plan is None:
+                plan = plans[id(sg)] = _plan(sg)
+            head, lo, hi, vertices, roles = plan
+            a, b = off + lo, off + hi
+            ids = ",".join(map(tx, sorted(set(vertices(vm[a:b])))))
+            texts = vm_text[a:b]
+            role_text = ",".join([key + ",".join(get(texts)) + "]" for key, get in roles])
+            out.append(f'{_escape(name)}:{head}{ids}],"roles":{{{role_text}}}}}')
+        return "{" + ",".join(out) + "}"
 
     def __contains__(self, name) -> bool:
         return name in self._entries
@@ -261,6 +279,29 @@ class _Registry(Mapping):
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _plan(sg: SubGadget) -> tuple:
+    """How _Registry.to_json writes sg: the escaped text before its vertex
+    ids, the span [lo, hi) of part coordinates it reads, a getter of its
+    vertices from that span's slice of the vertex map, and its role keys,
+    sorted and escaped, each with a getter of the role's vertices."""
+    roles = sorted(sg.roles.items())
+    xs = [*sg.vertices, *(x for _, v in roles for x in v)]
+    lo, hi = min(xs, default=0), max(xs, default=-1) + 1
+    gather = lambda t: _gather([x - lo for x in t])
+    return (f'{{"kind":{_escape(sg.kind)},"vertices":[', lo, hi, gather(sg.vertices),
+            [(f"{_escape(k)}:[", gather(v)) for k, v in roles])
+
+
+def _gather(idx: list[int]):
+    """A getter of the items at positions idx of a list, as a list or a
+    tuple: a slice for a run of consecutive positions (one or none
+    included), an itemgetter otherwise."""
+    start = idx[0] if idx else 0
+    if idx == list(range(start, start + len(idx))):
+        return itemgetter(slice(start, start + len(idx)))
+    return itemgetter(*idx)
 
 
 # ---------------------------------------------------------------------------

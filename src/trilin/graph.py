@@ -405,9 +405,13 @@ def from_json_obj(obj: dict) -> Graph:
             k.isascii() and k.isdigit() and isinstance(v, str)
             for k, v in labels.items()):
         raise ParseError("bad graph JSON: labels must map vertex numbers to strings")
+    # "01" names vertex 1 as "1" does, and the later key would replace the other
+    bad = next((k for k in labels if k[0] == "0" and k != "0"), None)
+    if bad is not None:
+        raise ParseError(f"bad graph JSON: label key {bad!r} is not written as its vertex number")
     try:
         return Graph(obj["n"], edges, {int(k): v for k, v in labels.items()})
-    except GraphConstructionError as exc:
+    except (GraphConstructionError, ValueError) as exc:  # ValueError: past int's digit limit
         raise ParseError(str(exc))
 
 

@@ -241,6 +241,15 @@ def test_malformed_graph_json_is_a_usage_error(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_label_key_with_a_leading_zero_is_a_usage_error(tmp_path):
+    # "1" and "01" both name vertex 1
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"n":3,"edges":[[0,1]],"labels":{"1":"a","01":"b"}}')
+    res = run_cli("tlg", "compute", bad.as_posix())
+    assert res.returncode == 2
+    assert "label key '01'" in res.stderr
+
+
 @pytest.mark.parametrize("content", [b"\xff\xfe0 1\n", b"1" * 5000, b"[" * 100_000],
                          ids=["not_utf8", "huge_int", "deep"])
 def test_undecodable_inputs_are_usage_errors(tmp_path, content):

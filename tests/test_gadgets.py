@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trilin.gadgets as gadgets
 from trilin.errors import StructureError
@@ -29,6 +31,7 @@ from trilin.graph import (
     enumerate_triangles,
     every_edge_in_unique_triangle,
     is_isomorphic,
+    to_json_obj,
 )
 from trilin.operators import (
     is_triangle_induced,
@@ -36,7 +39,7 @@ from trilin.operators import (
     verify_certificate,
     witness_of_operator,
 )
-from trilin.reduction import compile_formula, parse_dimacs
+from trilin.reduction import CnfFormula, compile_formula, parse_dimacs
 from trilin.search import sun_units, template_solve
 
 
@@ -401,3 +404,109 @@ def test_to_json_then_template_solve_translates_each_entry_once(monkeypatch):
     bp.to_json()
     assert template_solve(bp)
     assert len(calls) == len(bp.sub_gadgets)
+
+
+# ---------------------------------------------------------------------------
+# A blueprint's JSON text against a reference built from its read entries
+# ---------------------------------------------------------------------------
+
+
+def _reference_json(bp: GadgetBlueprint) -> str:
+    # json.dumps of every entry as the registry gives it when read: a built
+    # registry's vertices come sorted, a plain dict's in stored order
+    roles = lambda r: {k: list(v) for k, v in sorted(r.items())}
+    subs = bp.sub_gadgets
+    return json.dumps({
+        "graph": to_json_obj(bp.graph),
+        "kind": bp.kind,
+        "roles": roles(bp.roles),
+        "sub_gadgets": {name: {"kind": subs[name].kind, "vertices": list(subs[name].vertices),
+                               "roles": roles(subs[name].roles)}
+                        for name in sorted(subs)},
+        "meta": bp.meta,
+    }, separators=(",", ":"))
+
+
+def _assert_matches_reference(bp: GadgetBlueprint) -> None:
+    # written first, so the text owes nothing to entries the reference reads
+    text = bp.to_json()
+    assert text == _reference_json(bp)
+    assert bp.to_json_obj() == json.loads(text)
+
+
+_SEVEN = designate_attachments(make_sun(7))
+
+
+@pytest.mark.parametrize("build", [
+    make_bowtie, lambda: make_fan(4), lambda: make_triangle_strip(5),
+    lambda: make_wheel(6), lambda: make_squared_cycle(7), lambda: make_sun(7),
+    lambda: make_sun(12), lambda: _SEVEN, lambda: make_binary_enforced_sun(12),
+    lambda: make_binary_enforced_sun(16), make_large_variable_gadget,
+    *(lambda k=k: make_wire(k) for k in range(5)),
+    lambda: attach_equal(_SEVEN, "equal", _SEVEN, "root"),
+    lambda: attach_not(_SEVEN, "not", _SEVEN, "root"),
+    lambda: join_clause(make_sun(12), make_sun(12), make_sun(12)),
+    lambda: join_clause(*[make_large_variable_gadget(13)] * 3),
+    lambda: make_variable_cluster(0, 1), lambda: make_variable_cluster(3, 2, 13),
+], ids=["bowtie", "fan", "strip", "wheel", "squared_cycle", "sun7", "sun12",
+        "designated_sun7", "binary_sun12", "binary_sun16", "large_variable",
+        *(f"wire{k}" for k in range(5)), "equal_join", "not_join", "clause",
+        "clause_large13", "cluster", "cluster13"])
+def test_blueprint_json_matches_the_reference(build):
+    _assert_matches_reference(build())
+
+
+@pytest.mark.parametrize("enforce", [12, 13, 16])
+@pytest.mark.parametrize("dimacs", [
+    "p cnf 3 1\n1 2 3 0\n",
+    "p cnf 4 3\n1 2 4 0\n-1 3 4 0\n-1 2 -4 0\n",
+    "p cnf 5 2\n1 -3 5 0\n-2 3 4 0\n",
+], ids=["one_clause", "three_clauses", "five_vars"])
+def test_compiled_json_matches_the_reference(dimacs, enforce):
+    _assert_matches_reference(compile_formula(parse_dimacs(dimacs), enforce).blueprint)
+
+
+@st.composite
+def formulas(draw):
+    n = draw(st.integers(3, 6))
+    clause = st.tuples(st.permutations(range(n)), st.tuples(*[st.booleans()] * 3))
+    clauses = draw(st.lists(clause, min_size=1, max_size=3))
+    return CnfFormula(n, tuple(tuple(zip(perm[:3], signs)) for perm, signs in clauses))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(formulas(), st.sampled_from([12, 13, 16]))
+def test_drawn_compiled_json_matches_the_reference(formula, enforce):
+    _assert_matches_reference(compile_formula(formula, enforce).blueprint)
+
+
+def test_registry_text_escapes_names_and_kinds_and_keeps_odd_roles():
+    odd = 'q"\\\x01\t\u00e9\u2603'
+    part = GadgetBlueprint(Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), f"kind{odd}",
+                           {"one": (2,), "none": (), "back": (3, 1, 0), f"r{odd}": (0, 2)})
+    asm = Assembly()
+    asm.add(part, f"p{odd}")
+    asm.add(part, "plain")
+    asm.add(GadgetBlueprint(Graph(0, []), "nothing"), "z")
+    asm.identify(0, 5)
+    asm.identify(4, 7)  # two vertices of one entry become one
+    bp = asm.build("odd")
+    _assert_matches_reference(bp)
+    text = bp.to_json()
+    assert text.isascii() and "\\u2603" in text and "\\u0001" in text
+    plain = json.loads(text)["sub_gadgets"]["plain"]
+    assert plain == {"kind": f"kind{odd}", "vertices": [0, 4, 5],
+                     "roles": {"back": [4, 0, 4], "none": [], "one": [5], f"r{odd}": [4, 5]}}
+    assert json.loads(text)["sub_gadgets"]["z"] == {"kind": "nothing", "vertices": [], "roles": {}}
+
+
+def test_empty_assembly_writes_an_empty_registry():
+    bp = Assembly().build("empty")
+    _assert_matches_reference(bp)
+    assert '"sub_gadgets":{}' in bp.to_json()
+
+
+def test_plain_registry_keeps_stored_vertex_order():
+    root = _SEVEN.sub("root").vertices
+    assert list(root) != sorted(root)
+    assert json.loads(_SEVEN.to_json())["sub_gadgets"]["root"]["vertices"] == list(root)

@@ -3,8 +3,6 @@ from __future__ import annotations
 import itertools
 import random
 import re
-import subprocess
-import sys
 
 import pytest
 
@@ -372,24 +370,13 @@ def test_decide_tries_the_next_assignment_after_a_failed_glue(
     assert len(failed) == failures
 
 
-def test_decide_tap_check_ticks_the_decision_budget():
-    # a fresh interpreter, so a tap check cached by an earlier call cannot
-    # hide ticks; the enforced 16-sun's check needs 17 nodes, so a budget
-    # of 5 stops it
-    script = (
-        "from trilin import search\n"
-        "from trilin.reduction import decide, parse_dimacs\n"
-        "ticks = []\n"
-        "tick = search._Budget.tick\n"
-        "search._Budget.tick = lambda self: (ticks.append(1), tick(self))\n"
-        "res = decide(parse_dimacs('p cnf 3 1\\n1 2 3 0\\n'),\n"
-        "             search.SearchLimits(node_budget=5), enforce=16)\n"
-        "print(res.status, len(ticks))\n")
-    res = subprocess.run([sys.executable, "-c", script],
-                         capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    status, ticks = res.stdout.split()
-    assert status == "UNKNOWN" and int(ticks) <= 6
+def test_decide_tap_check_ticks_the_decision_budget(monkeypatch):
+    # the enforced 16-sun's check needs 17 nodes, so a budget of 5 stops it
+    ticks = []
+    tick = _Budget.tick
+    monkeypatch.setattr(_Budget, "tick", lambda self: (ticks.append(1), tick(self)))
+    res = decide(parse_dimacs(SINGLE), SearchLimits(node_budget=5), enforce=16)
+    assert res.status == "UNKNOWN" and len(ticks) <= 6
 
 
 def test_decide_skips_the_loop_when_no_tap_materializes(monkeypatch):
