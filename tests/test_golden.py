@@ -8,10 +8,13 @@ change that means to alter the output updates the hashes and says why.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import json
 import random
 
 import pytest
 
+from trilin.appendix import build_clause_preimage
 from trilin.gadgets import (
     designate_attachments,
     join_clause,
@@ -23,6 +26,7 @@ from trilin.gadgets import (
 from trilin.graph import Graph, to_json
 from trilin.operators import triangular_line_graph, witness_of_operator
 from trilin.reduction import CnfFormula, compile_formula, parse_dimacs
+from trilin.search import SearchLimits, template_solve
 
 ONE_CLAUSE = "p cnf 3 1\n1 2 3 0\n"
 THREE_CLAUSES = "p cnf 4 3\n1 2 4 0\n-1 3 4 0\n-1 2 -4 0\n"
@@ -92,3 +96,22 @@ def test_seeded_compiled_blueprints_are_golden():
         h.update(compile_formula(formula, 12).blueprint.to_json().encode())
     assert h.hexdigest() == \
         "7ae4b3c52fe7f943652cffa3b57ed81c9e5e3e29824cdfb12b2fb8fa483f788b"
+
+
+def test_glue_witnesses_are_golden():
+    # one digest over template_solve's results (choices and witness JSON)
+    # and the constructive clause preimages: the glue's every output byte
+    h = hashlib.sha256()
+    solves = [(make_wire(k), None) for k in range(5)]
+    solves += [(make_binary_enforced_sun(k), None) for k in (12, 13, 14, 16)]
+    solves += [(join_clause(*[make_sun(12)] * 3), None),
+               (make_variable_cluster(0, 1), SearchLimits(node_budget=30_000)),
+               (compile_formula(parse_dimacs(THREE_CLAUSES), 16).blueprint, None)]
+    for bp, limits in solves:
+        for a in template_solve(bp, limits):
+            h.update(json.dumps(sorted(a.choices.items())).encode())
+            h.update(a.witness.to_json().encode())
+    for legs in itertools.product((True, False), repeat=3):
+        h.update(build_clause_preimage(legs).to_json().encode())
+    assert h.hexdigest() == \
+        "ebf4f9745c680b77585cc86efd45f9240ed4520e8f55ced1cd091de9e6ff212e"

@@ -831,10 +831,14 @@ def test_vertex_outside_every_unit_is_a_structure_error():
 
 @pytest.mark.parametrize("build, pin, nodes", [
     (lambda: make_wire(3), None, 14),
+    (lambda: make_binary_enforced_sun(12), None, 38),
+    (lambda: make_binary_enforced_sun(13), None, 54),
+    (lambda: make_binary_enforced_sun(14), None, 58),
     (lambda: make_binary_enforced_sun(16), None, 66),
     (lambda: join_clause(make_sun(12), make_sun(12), make_sun(12)), None, 14),
     (lambda: make_binary_enforced_sun(12), {"emb0": SQUARED_CYCLE}, 13),
-], ids=["wire3", "enforced16", "clause12", "enforced12_cycle"])
+], ids=["wire3", "enforced12", "enforced13", "enforced14", "enforced16", "clause12",
+        "enforced12_cycle"])
 def test_template_solve_node_counts(build, pin, nodes):
     # the exact number of search nodes, so that pruning changes are seen
     template_solve(build(), SearchLimits(node_budget=nodes), pin=pin)
