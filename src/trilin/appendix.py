@@ -16,7 +16,7 @@ from .errors import IntegrityError
 from .gadgets import GadgetBlueprint, SubGadget, _clause_roles, join_clause, make_sun
 from .graph import Graph
 from .operators import PreimageWitness
-from .search import SQUARED_CYCLE, WHEEL, Glue, sun_units, unit_parts
+from .search import SQUARED_CYCLE, WHEEL, Glue, glue_plan
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -91,16 +91,16 @@ def load_appendix_preimage(wheels: int,
 def build_clause_preimage(wheels: tuple[bool, bool, bool]) -> PreimageWitness:
     """Glue three wheel / squared-cycle legs along the clause identification.
 
-    The legs are the sun units S1, S2, S3 of
-    join_clause(make_sun(12) x3); gluing their templates along the
-    triangles they share (search.Glue) matches the a-triangle of leg l
+    The legs are the sun units S1, S2, S3 of join_clause(make_sun(12) x3),
+    which its glue plan takes in that order; gluing their templates along
+    the triangles they share (search.Glue) matches the a-triangle of leg l
     (sun indices 0, 1, 2) with the b-triangle of leg l+1 (indices 12, 13,
     14) through the edge correspondence 0=12, 1=14, 2=13.  The result is
     returned as a witness against the clause gadget and is *not* checked
     here; the all-wheels input yields a witness that fails verification.
     """
-    bp = join_clause(make_sun(12), make_sun(12), make_sun(12))
-    glue = Glue(bp.graph)
-    for (_, parts), wheel in zip(unit_parts(sun_units(bp)), wheels):
-        glue.add(*parts[WHEEL if wheel else SQUARED_CYCLE])
+    plan = glue_plan(join_clause(make_sun(12), make_sun(12), make_sun(12)))
+    glue = Glue(plan)
+    for i, wheel in enumerate(wheels):
+        glue.add(plan.part(i, WHEEL if wheel else SQUARED_CYCLE))
     return glue.witness()

@@ -83,13 +83,13 @@ def _validate_bowtie(g: Graph, center: int, t1: tuple[int, int], t2: tuple[int, 
     verts = (center,) + tuple(t1) + tuple(t2)
     if len(set(verts)) != 5:
         raise StructureError("bowtie roles must name five distinct vertices")
+    edges = g.edges
     for a, b in (t1, t2):
         for u, v in ((center, a), (center, b), (a, b)):
-            if not g.has_edge(u, v):
+            if ((u, v) if u < v else (v, u)) not in edges:
                 raise StructureError(f"missing bowtie edge ({u},{v})")
     # the two triangles must share only the center
-    if g.has_edge(t1[0], t2[0]) or g.has_edge(t1[0], t2[1]) \
-            or g.has_edge(t1[1], t2[0]) or g.has_edge(t1[1], t2[1]):
+    if any(((u, v) if u < v else (v, u)) in edges for u in t1 for v in t2):
         raise StructureError("bowtie triangles share more than the center")
 
 
@@ -429,38 +429,35 @@ def designate_attachments(sun7: GadgetBlueprint) -> GadgetBlueprint:
 
 def make_binary_enforced_sun(k: int) -> GadgetBlueprint:
     """k-sun plus, for each i, a three-triangle chain from c_i to c_{i+4},
-    closing an embedded 7-sun with the four sun triangles in between."""
+    closing an embedded 7-sun with the four sun triangles in between.
+    Chain i's vertices w1, w2, p1, p2, p3 are 2k + 5i ... 2k + 5i + 4."""
     if k < 9:
         raise StructureError(f"binary-enforced sun needs k >= 9, got {k}")
     cycle, apex, edges = _sun_parts(k)
-    labels = {**{c: f"c{i}" for i, c in enumerate(cycle)},
-              **{a: f"a{i}" for i, a in enumerate(apex)}}
-    n = 2 * k
-    subs: dict[str, SubGadget] = {}
-    chain_info = []
-    for i in range(k):
-        w1, w2, p1, p2, p3 = n, n + 1, n + 2, n + 3, n + 4
-        n += 5
-        ci, ci4 = cycle[i], cycle[(i + 4) % k]
+    names = [f"c{i}" for i in range(k)] + [f"a{i}" for i in range(k)]
+    cycle2, apex2 = cycle * 2, apex * 2  # index i + d wraps around
+    chains = range(2 * k, 7 * k, 5)
+    for i, w1 in enumerate(chains):
+        w2, p1, p2, p3 = w1 + 1, w1 + 2, w1 + 3, w1 + 4
+        ci, ci4 = cycle[i], cycle2[i + 4]
         edges += [
             (ci4, w1), (w1, w2), (w2, ci),
             (ci4, p1), (w1, p1),
             (w1, p2), (w2, p2),
             (w2, p3), (ci, p3),
         ]
-        for v, name in ((w1, f"w1_{i}"), (w2, f"w2_{i}"), (p1, f"p1_{i}"),
-                        (p2, f"p2_{i}"), (p3, f"p3_{i}")):
-            labels[v] = name
-        chain_info.append((i, w1, w2, p1, p2, p3))
-    g = Graph(n, edges, labels)
+        names += [f"w1_{i}", f"w2_{i}", f"p1_{i}", f"p2_{i}", f"p3_{i}"]
+    g = Graph(7 * k, edges, dict(enumerate(names)))
 
-    for i, w1, w2, p1, p2, p3 in chain_info:
-        cyc7 = tuple(cycle[(i + d) % k] for d in range(5)) + (w1, w2)
-        apx7 = tuple(apex[(i + d) % k] for d in range(4)) + (p1, p2, p3)
+    subs: dict[str, SubGadget] = {}
+    for i, w1 in enumerate(chains):
+        w2, p1, p2, p3 = w1 + 1, w1 + 2, w1 + 3, w1 + 4
+        cyc7 = cycle2[i:i + 5] + (w1, w2)
+        apx7 = apex2[i:i + 4] + (p1, p2, p3)
         subs[f"emb{i}"] = SubGadget(
             "sun7", tuple(sorted(cyc7 + apx7)), {"cycle": cyc7, "apex": apx7}
         )
-        t1 = (cycle[(i + 4) % k], p1)
+        t1 = (cycle2[i + 4], p1)
         t2 = (w2, p2)
         _validate_bowtie(g, w1, t1, t2)
         subs[f"emb{i}/chain"] = SubGadget(

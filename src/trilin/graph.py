@@ -393,10 +393,10 @@ def to_json(g: Graph) -> str:
 
 def from_json_obj(obj: dict) -> Graph:
     """The graph of a JSON object: an integer `n`, `edges` as integer
-    pairs, optional `labels` from vertex numbers to strings."""
+    pairs, optional `labels`, an object from vertex numbers to strings."""
     if not isinstance(obj, dict) or not _is_int(obj.get("n")):
         raise ParseError("bad graph JSON: n must be an integer")
-    edges, labels = obj.get("edges"), obj.get("labels") or {}
+    edges, labels = obj.get("edges"), obj.get("labels", {})
     if not isinstance(edges, list) or not all(
             isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
             for e in edges):

@@ -49,6 +49,7 @@ from .search import (
     WHEEL,
     SearchLimits,
     _Budget,
+    glue_plan,
     glue_templates,
 )
 
@@ -299,8 +300,9 @@ def decide(formula: CnfFormula, limits: SearchLimits | None = None,
     """Exponential desk-scale decision.  One tap check first, before
     compiling: every assignment needs squared-cycle taps, so UNSAT at once
     when the enforced sun has none, with the failed glue as the reason.
-    Otherwise keep the first satisfying assignment, in lexicographic order,
-    whose prescribed preimage glues and verifies.  `limits` bounds the whole
+    Otherwise compile the graph, plan its glue once, and keep the first
+    satisfying assignment, in lexicographic order, whose prescribed
+    preimage glues and verifies.  `limits` bounds the whole
     decision, the tap check and every glue included; budget exhaustion
     reports UNKNOWN.  `enforce` is the tap size of the compiled graph; only
     16 is known to give the truth table's answers (see compile_formula for
@@ -320,12 +322,14 @@ def decide(formula: CnfFormula, limits: SearchLimits | None = None,
                 f"the enforced {enforce}-sun has no squared-cycle-side "
                 f"preimage: {failure}"))
         r = compile_formula(formula, enforce)
+        plan = None  # planned at the first satisfying assignment
         for bits in itertools.product((False, True), repeat=n):
             budget.tick()
             if violated_clause(formula, bits) is not None:
                 continue
+            plan = plan or glue_plan(r.blueprint)
             try:
-                w = glue_templates(r.blueprint, _pins(r, bits), budget)
+                w = glue_templates(plan, _pins(r, bits), budget)
             except CertificateError:
                 continue
             return DecisionResult("SAT", bits, w)

@@ -342,149 +342,161 @@ class TemplateAssignment:
     witness: PreimageWitness
 
 
-_UNSET = object()
-
-
 class Glue:
     """A candidate graph glued together from template parts.
 
-    A part maps target vertices to edges between its own fresh "atoms"; the
-    candidate's vertices are the classes of a union-find over all atoms.
-    Adding a part identifies the corners of every triangle it shares with an
-    earlier part.  `union` reports the failures that no further
-    identification can undo: an edge whose ends meet (a loop), two target
-    vertices on one edge, and a closed triangle whose edges are not pairwise
-    adjacent in the target.  Every change is journaled, so a search can roll
-    back to a mark.
+    A part maps target vertices to edges between its own "atoms", integer
+    ids that `_Plan` gives each unit once (k + 1 per unit), so the parent,
+    size and neighbour maps of the union-find over them are lists
+    preallocated from the plan, and the candidate's vertices are the
+    classes of the atoms some placed part uses.  Adding a part identifies
+    the corners of every triangle it shares with an earlier unit.  `union`
+    reports the failures that no further identification can undo: an edge
+    whose ends meet (a loop), two target vertices on one edge, and a closed
+    triangle whose edges are not pairwise adjacent in the target.  Each
+    union and each added part writes one undo entry, so a search can roll
+    back to a mark, an earlier length of the log (Westbrook & Tarjan,
+    "Amortized analysis of algorithms for set union with backtracking",
+    SIAM J. Comput. 18 (1989)).
+
+    A plan's units are added in its order, and an unplaced atom keeps
+    parent itself and size 1, so an added part only fills its atoms'
+    neighbour maps.  The corners of a triangle and the edge of a target
+    vertex are written by the first unit holding them and read only by
+    later ones, so they need no undo.
     """
 
-    def __init__(self, target: Graph):
-        self.target = target
-        self._adj = target.adj
-        self.parent: dict = {}
-        self.size: dict = {}
-        self.nbr: dict = {}       # class root -> {class root: target vertex}
-        self.edge: dict = {}      # target vertex -> its first atom pair
-        self.corners: dict = {}   # target triangle -> {t: atom opposite t}
+    def __init__(self, plan: _Plan):
+        self.target = plan.target
+        self._adj = plan.target.adj
+        n = plan.atoms
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.nbr: list = [None] * n     # class root -> {class root: target vertex}
+        self.edge: list = [None] * plan.target.n  # target vertex -> its first atom pair
+        self.corners: dict = {}         # target triangle -> {t: atom opposite t}
+        self.placed: list = []          # the parts added, in order
         self._log: list = []
-
-    def _set(self, d: dict, key, value) -> None:
-        self._log.append((d, key, d.get(key, _UNSET)))
-        d[key] = value
-
-    def _drop(self, d: dict, key) -> None:
-        self._log.append((d, key, d.pop(key)))
 
     def mark(self) -> int:
         return len(self._log)
 
     def rollback(self, mark: int) -> None:
-        log = self._log
+        log, parent, size, nbr = self._log, self.parent, self.size, self.nbr
         while len(log) > mark:
-            d, key, old = log.pop()
-            if old is _UNSET:
-                del d[key]
-            else:
-                d[key] = old
+            entry = log.pop()
+            if entry is None:
+                self.placed.pop()
+                continue
+            ra, rb, added = entry
+            parent[rb] = rb
+            size[ra] -= size[rb]
+            na = nbr[ra]
+            for s in added:
+                del na[s], nbr[s][ra]
+            for s, t in nbr[rb].items():
+                nbr[s][rb] = t
 
-    def find(self, a):
+    def find(self, a: int) -> int:
         parent = self.parent
         while parent[a] != a:
             a = parent[a]
         return a
 
-    def union(self, a, b) -> str | None:
+    def union(self, a: int, b: int) -> str | None:
         """Identify the classes of atoms a and b; returns the first failure
-        the identification causes, or None.  The merge happens either way."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        the identification causes, or None.  The merge happens either way.
+        The absorbed root's neighbour map is left as it was, for rollback."""
+        parent = self.parent
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
             return None
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        na, nb = self.nbr[ra], self.nbr[rb]
+        size, nbr = self.size, self.nbr
+        if size[a] < size[b]:
+            a, b = b, a
+        na, nb = nbr[a], nbr[b]
         adj = self._adj
-        failure = "a loop" if rb in na else None
+        failure = "a loop" if b in na else None
+        added = []
         for s, t in nb.items():
-            if s == ra:
+            ns = nbr[s]
+            del ns[b]
+            if s == a:
                 continue
             if s in na:
                 if na[s] != t and failure is None:
                     failure = "two target vertices on one edge"
                 continue
-            # s becomes a neighbour of ra: each triangle (ra, s, u) is new
-            ns = self.nbr[s]
-            for u in (ns if len(ns) < len(na) else na):
-                if u == rb or u in nb or u not in ns or u not in na:
-                    continue
-                t2, t3 = na[u], ns[u]
-                if failure is None and any(
-                        x != y and y not in adj[x]
-                        for x, y in ((t, t2), (t, t3), (t2, t3))):
-                    failure = "a triangle the target lacks"
-        self._set(self.parent, rb, ra)
-        self._set(self.size, ra, self.size[ra] + self.size[rb])
-        for s, t in list(nb.items()):
-            self._drop(self.nbr[s], rb)
-            if s != ra and s not in na:
-                self._set(na, s, t)
-                self._set(self.nbr[s], ra, t)
-        self._drop(self.nbr, rb)
+            # s becomes a neighbour of a: each triangle (a, s, u) is new
+            if failure is None:
+                for u in ns.keys() & na.keys():
+                    if u in nb:
+                        continue
+                    t2, t3 = na[u], ns[u]
+                    if (t != t2 and t2 not in adj[t]) or (t != t3 and t3 not in adj[t]) \
+                            or (t2 != t3 and t3 not in adj[t2]):
+                        failure = "a triangle the target lacks"
+                        break
+            na[s] = ns[a] = t
+            added.append(s)
+        parent[b] = a
+        size[a] += size[b]
+        self._log.append((a, b, added))
         return failure
 
-    def add(self, edges: dict, corners: list) -> tuple[str | None, list]:
-        """Add a part: `edges` maps target vertices to pairs of atoms not
-        seen before, `corners` lists the part's triangles as (key, {t: atom
-        opposite t}) pairs.  Returns the first failure, and the part's
-        (t, atom pair) copies of target vertices placed before, for `ways`."""
-        for t, (a, b) in edges.items():
-            for x in (a, b):
-                if x not in self.parent:
-                    self._set(self.parent, x, x)
-                    self._set(self.size, x, 1)
-                    self._set(self.nbr, x, {})
-            self._set(self.nbr[a], b, t)
-            self._set(self.nbr[b], a, t)
+    def add(self, part: _Part) -> str | None:
+        """Add a part (see `_Plan.part`): fill its atoms' neighbour maps,
+        keep the corners and edges it places first, and identify the
+        corners of the triangles it shares.  Returns the last failure those
+        identifications cause; the part's copies of target vertices placed
+        before are `part.pending`, for `ways`."""
+        self.placed.append(part)
+        self._log.append(None)
+        self.nbr[part.lo:part.hi] = map(dict.copy, part.nbrs)
+        corners, edge = self.corners, self.edge
+        for key, mine in part.own:
+            corners[key] = mine
+        for t, pair in part.placing:
+            edge[t] = pair
         failure = None
-        for key, mine in corners:
-            old = self.corners.get(key)
-            if old is None:
-                self._set(self.corners, key, mine)
-                continue
-            for t, x in mine.items():
-                failure = self.union(x, old[t]) or failure
-        pending = []
-        for t, pair in edges.items():
-            if t in self.edge:
-                pending.append((t, pair))
-            else:
-                self._set(self.edge, t, pair)
-        return failure, pending
+        for x, key, t in part.shared:
+            failure = self.union(x, corners[key][t]) or failure
+        return failure
 
-    def ways(self, t, pair) -> tuple:
+    def ways(self, t: int, pair: tuple) -> tuple:
         """The ways (two atom identifications each) to merge a copy `pair`
         of target vertex t into t's placed edge: none when it is merged,
         else both orientations.  Where the copy already shares a class with
         one end, the opposite orientation merges the edge's two ends and
         fails at once with a loop."""
         (p, q), (x, y) = pair, self.edge[t]
-        if {self.find(p), self.find(q)} == {self.find(x), self.find(y)}:
+        find = self.find
+        fp, fq, fx, fy = find(p), find(q), find(x), find(y)
+        if (fp == fx and fq == fy) or (fp == fy and fq == fx):
             return ()
         return (((p, x), (q, y)), ((p, y), (q, x)))
 
     def witness(self) -> PreimageWitness:
         """The glued candidate and its edge map onto the target, not
         verified here.  Candidate vertices are numbered in the order of the
-        least atom of each class."""
+        least atom of each class, over the atoms the placed parts use (a
+        squared cycle never uses its unit's hub atom)."""
+        find = self.find
         low: dict = {}
-        for a in self.parent:
-            r = self.find(a)
-            if r not in low or a < low[r]:
-                low[r] = a
+        for part in self.placed:
+            for a in range(part.lo, part.hi):
+                r = find(a)
+                if r not in low or a < low[r]:
+                    low[r] = a
         vid = {r: i for i, r in enumerate(sorted(low, key=low.__getitem__))}
         mapping = {}
-        for t, (a, b) in self.edge.items():
-            u, v = vid[self.find(a)], vid[self.find(b)]
-            mapping[(min(u, v), max(u, v))] = t
+        for part in self.placed:
+            for t, (a, b) in part.placing:
+                u, v = vid[find(a)], vid[find(b)]
+                mapping[(min(u, v), max(u, v))] = t
         return PreimageWitness(self.target, Graph(len(vid), mapping), mapping)
 
 
@@ -510,31 +522,185 @@ def sun_units(bp: GadgetBlueprint) -> list[tuple[str, SubGadget]]:
     return units
 
 
-def unit_parts(units):
-    """Yields (name, parts) per unit: `parts` maps each kind to the unit's
-    template as a Glue part, its (edges, corners).  A wheel (rim 0..k-1,
-    hub k) maps cycle vertex p to the spoke (p, k) and apex p to the rim
-    edge (p, p+1); a squared cycle (0..k-1) maps them to (p, p+1) and the
-    chord (p, p+2).  The unit's triangle p = (c_p, a_p, c_p+1) then has the
-    atoms (p+1, hub, p) opposite its vertices in the wheel and (p+2, p+1, p)
-    in the squared cycle.  Template vertices become atoms by adding an
-    offset that grows by k + 1 per unit, so no two units share an atom."""
-    offset = 0
-    for name, sg in units:
-        cycle, apex = sg.roles["cycle"], sg.roles["apex"]
-        k = len(cycle)
-        x0 = list(range(offset, offset + k))  # atom p, then p+1 and p+2 mod k
-        x1, x2, hub = x0[1:] + x0[:1], x0[2:] + x0[:2], offset + k
-        wheel, squared, wheel_corners, squared_corners = {}, {}, [], []
-        for c, a, c1, p, p1, p2 in zip(cycle, apex, cycle[1:] + cycle[:1], x0, x1, x2):
-            wheel[c], wheel[a] = (p, hub), (p, p1)
-            squared[c], squared[a] = (p, p1), (p, p2)
-            key = frozenset((c, a, c1))
-            wheel_corners.append((key, {c: p1, a: hub, c1: p}))
-            squared_corners.append((key, {c: p2, a: p1, c1: p}))
-        yield name, {WHEEL: (wheel, wheel_corners),
-                     SQUARED_CYCLE: (squared, squared_corners)}
-        offset += k + 1
+def unit_parts(sg: SubGadget, kind: str, offset: int = 0) -> tuple[dict, list]:
+    """A sun unit's template of one kind, with its atoms numbered from
+    `offset`: (edges, corners), edges mapping each target vertex to its
+    atom pair, corners listing each triangle of the unit as (key, {t: atom
+    opposite t}).  A wheel (rim 0..k-1, hub k) maps cycle vertex p to the
+    spoke (p, k) and apex p to the rim edge (p, p+1); a squared cycle
+    (0..k-1) maps them to (p, p+1) and the chord (p, p+2).  The unit's
+    triangle p = (c_p, a_p, c_p+1) then has the atoms (p+1, hub, p)
+    opposite its vertices in the wheel and (p+2, p+1, p) in the squared
+    cycle.  `_Plan.part` calls it once per unit and kind, when the search
+    first asks for that kind."""
+    cycle, apex = sg.roles["cycle"], sg.roles["apex"]
+    k = len(cycle)
+    x0 = list(range(offset, offset + k))  # atom p, then p+1 and p+2 mod k
+    x1, x2, hub = x0[1:] + x0[:1], x0[2:] + x0[:2], offset + k
+    edges, corners = {}, []
+    for c, a, c1, p, p1, p2 in zip(cycle, apex, cycle[1:] + cycle[:1], x0, x1, x2):
+        key = frozenset((c, a, c1))
+        if kind == WHEEL:
+            edges[c], edges[a] = (p, hub), (p, p1)
+            corners.append((key, {c: p1, a: hub, c1: p}))
+        else:
+            edges[c], edges[a] = (p, p1), (p, p2)
+            corners.append((key, {c: p2, a: p1, c1: p}))
+    return edges, corners
+
+
+class _Part:
+    """One unit's template of one kind, compiled for `Glue.add` against
+    the units before it in its plan: the atoms [lo, hi) its edges use and
+    each one's neighbour map; the corners of the triangles it holds first
+    (`own`) and the identifications (atom, key, t) with the corners of the
+    triangles an earlier unit holds (`shared`); the (t, atom pair) edges of
+    the target vertices it places first (`placing`) and of those placed
+    before (`pending`).  A vertex of a shared triangle is left out of
+    `pending`: identifying the triangle's corners merges its copy, whose
+    ends are the corners opposite the triangle's other two vertices, into
+    the earlier unit's copy, already merged into the placed edge, so `ways`
+    would find no way to try."""
+
+    __slots__ = ("lo", "hi", "nbrs", "own", "shared", "placing", "pending")
+
+    def __init__(self, edges: dict, corners: list, lo: int, hi: int,
+                 old_keys: set, old_vertices: set):
+        self.lo, self.hi = lo, hi
+        nbrs = [{} for _ in range(lo, hi)]
+        for t, (a, b) in edges.items():
+            nbrs[a - lo][b] = t
+            nbrs[b - lo][a] = t
+        self.nbrs = nbrs
+        own, shared, own_keys, settled = [], [], set(), set()
+        for key, mine in corners:
+            if key in old_keys:
+                settled |= key
+            if key in old_keys or key in own_keys:
+                shared += [(x, key, t) for t, x in mine.items()]
+            else:
+                own.append((key, mine))
+                own_keys.add(key)
+        self.own, self.shared = own, shared
+        self.placing = [(t, pair) for t, pair in edges.items() if t not in old_vertices]
+        self.pending = [(t, pair) for t, pair in edges.items()
+                        if t in old_vertices and t not in settled]
+
+
+class _Plan:
+    """A blueprint's glue plan, free of pins, for any number of solves:
+    its units in a greedy fail-first order, the first atom of each, and
+    each unit's template parts, built when the search first asks for them
+    and kept.
+
+    Raises StructureError unless every vertex and every triangle of the
+    blueprint lies inside some unit: the glue places only unit vertices.
+    The order takes the least name first, then always the unit sharing the
+    most vertices with the units already taken, ties broken by name.  The
+    units holding each vertex are one integer's bits, which the coverage
+    checks AND and the order clears as the vertex is taken.  Each unit
+    taken pushes the new overlap count of every untaken unit it shares a
+    vertex with onto a heap; a unit's highest entry pops first, so the
+    entries left behind are skipped."""
+
+    def __init__(self, bp: GadgetBlueprint, units: list[tuple[str, SubGadget]]):
+        self.target = g = bp.graph
+        self.units = units
+        mask = [0] * g.n  # the units holding each vertex, as bits
+        for i, (_, sg) in enumerate(units):
+            bit = 1 << i
+            for v in sg.vertices:
+                mask[v] |= bit
+        loose = [v for v, m in enumerate(mask) if not m]
+        if loose:
+            raise StructureError(
+                f"vertex {loose[0]} not inside any registered sun unit "
+                f"({len(loose)} in all)")
+        for tri in enumerate_triangles(g):
+            a, b, c = tri
+            if not mask[a] & mask[b] & mask[c]:
+                raise StructureError(
+                    f"triangle {tri} not inside any registered sun unit")
+        # heap keys -overlap * |units| + rank, rank the unit's place by name
+        m = len(units)
+        unit_of = sorted(range(m), key=lambda i: units[i][0])
+        rank = [0] * m
+        for r, i in enumerate(unit_of):
+            rank[i] = r
+        overlap = [0] * m
+        untaken = (1 << m) - 1
+        heap = list(range(m))
+        order = []
+        while heap:
+            i = unit_of[heapq.heappop(heap) % m]
+            if not untaken >> i & 1:
+                continue
+            untaken ^= 1 << i
+            order.append(units[i])
+            touched = 0
+            for v in units[i][1].vertices:
+                held = mask[v]
+                if held:  # v counts once, when first taken
+                    mask[v] = 0
+                    touched |= held
+                    while held:
+                        low = held & -held
+                        held ^= low
+                        overlap[low.bit_length() - 1] += 1
+            touched &= untaken
+            while touched:
+                low = touched & -touched
+                touched ^= low
+                j = low.bit_length() - 1
+                heapq.heappush(heap, -overlap[j] * m + rank[j])
+        self.order = order
+        self.names = [name for name, _ in order]
+        self.offsets = []
+        self.atoms = 0
+        for _, sg in order:
+            self.offsets.append(self.atoms)
+            self.atoms += len(sg.roles["cycle"]) + 1
+        # per unit reached: its parts by kind, and its triangles and
+        # vertices that units before it hold
+        self._reached: list[tuple[dict, set, set]] = []
+        self._keys: set = set()
+        self._vertices: set = set()
+
+    def part(self, i: int, kind: str) -> _Part:
+        """Unit i's template of `kind` as a `_Part`, built on first use."""
+        reached = self._reached
+        while len(reached) <= i:
+            _, sg = self.order[len(reached)]
+            cycle = sg.roles["cycle"]
+            keys = {frozenset(tri) for tri in zip(
+                cycle, sg.roles["apex"], cycle[1:] + cycle[:1])}
+            reached.append(({}, keys & self._keys, self._vertices.intersection(sg.vertices)))
+            self._keys |= keys
+            self._vertices.update(sg.vertices)
+        parts, keys, vertices = reached[i]
+        found = parts.get(kind)
+        if found is None:
+            _, sg = self.order[i]
+            lo = self.offsets[i]
+            hi = lo + len(sg.roles["cycle"]) + (kind == WHEEL)  # the hub
+            found = parts[kind] = _Part(*unit_parts(sg, kind, lo), lo, hi,
+                                        keys, vertices)
+        return found
+
+    def kinds(self, pin: dict[str, str]) -> list[tuple]:
+        """The kinds each unit tries, in plan order: its pinned kind, or
+        both.  Raises StructureError when a unit is pinned to a kind other
+        than WHEEL or SQUARED_CYCLE."""
+        for name, _ in self.units:
+            if pin.get(name, WHEEL) not in (WHEEL, SQUARED_CYCLE):
+                raise StructureError(f"unit {name} pinned to unknown kind {pin[name]!r}")
+        return [(pin[name],) if name in pin else (WHEEL, SQUARED_CYCLE)
+                for name in self.names]
+
+
+def glue_plan(bp: GadgetBlueprint) -> _Plan:
+    """The glue plan of bp's sun units, for `glue_templates` to reuse."""
+    return _Plan(bp, sun_units(bp))
 
 
 def _verifies(w: PreimageWitness) -> bool:
@@ -544,69 +710,23 @@ def _verifies(w: PreimageWitness) -> bool:
     return len(w.edge_to_vertex) == w.target.n and verify_certificate(w)
 
 
-def _plan(bp: GadgetBlueprint, units, pin: dict[str, str]) -> list:
-    """The glue search's plan: (name, parts, kinds to try) per unit, in a
-    greedy fail-first order, from one map of each vertex to its units.
-
-    Raises StructureError unless every vertex and every triangle of the
-    blueprint lies inside some unit: the glue places only unit vertices.
-    Raises it too when a unit is pinned to a kind other than WHEEL or
-    SQUARED_CYCLE.
-    The order takes the least name first, then always the unit sharing the
-    most vertices with the units already taken, ties broken by name.  A
-    unit's overlap count is pushed onto a heap each time it rises; its
-    highest entry pops first, so the entries left behind are skipped."""
-    holders: dict[int, set[int]] = {}
-    for i, (_, sg) in enumerate(units):
-        for v in sg.vertices:
-            holders.setdefault(v, set()).add(i)
-    loose = [v for v in range(bp.graph.n) if v not in holders]
-    if loose:
-        raise StructureError(
-            f"vertex {loose[0]} not inside any registered sun unit "
-            f"({len(loose)} in all)")
-    for tri in enumerate_triangles(bp.graph):
-        a, b, c = (holders[v] for v in tri)
-        if not a & b & c:
-            raise StructureError(
-                f"triangle {tri} not inside any registered sun unit")
-    for name, _ in units:
-        if pin.get(name, WHEEL) not in (WHEEL, SQUARED_CYCLE):
-            raise StructureError(f"unit {name} pinned to unknown kind {pin[name]!r}")
-    overlap = dict.fromkeys(range(len(units)), 0)
-    heap = [(0, name, i) for i, (name, _) in enumerate(units)]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        i = heapq.heappop(heap)[2]
-        if overlap.pop(i, None) is None:
-            continue
-        order.append(units[i])
-        for v in units[i][1].vertices:
-            for j in holders.pop(v, ()):  # v counts once, when first taken
-                if j in overlap:
-                    overlap[j] += 1
-                    heapq.heappush(heap, (-overlap[j], units[j][0], j))
-    return [(name, parts, (pin[name],) if name in pin else (WHEEL, SQUARED_CYCLE))
-            for name, parts in unit_parts(order)]
-
-
-def _glue_search(target: Graph, plan: list, limits, stuck: list):
-    """Depth-first search over each unit's kind, in `_plan` order, and over
+def _glue_search(plan: _Plan, kinds: list, limits, stuck: list):
+    """Depth-first search over each unit's kind, in plan order, and over
     each way to settle the unit's copies of target vertices placed before
     (`Glue.ways`).  Yields (choices, glue) whenever every unit is glued
     without a failure; the glue holds that candidate until the search
     resumes.  Branch points live on an explicit stack, so there is no
-    recursion-depth limit.  `limits` is SearchLimits, None, or a running
-    `_Budget` to keep ticking.  `stuck` ends as (unit index, name, kind,
-    failure) of the deepest failed glue."""
+    recursion-depth limit.  `kinds` is `plan.kinds(pin)`; `limits` is
+    SearchLimits, None, or a running `_Budget` to keep ticking.  `stuck`
+    ends as (unit index, name, kind, failure) of the deepest failed glue."""
     tick = (limits if isinstance(limits, _Budget)
             else _Budget(limits or SearchLimits())).tick
-    glue = Glue(target)
+    glue = Glue(plan)
+    names, part = plan.names, plan.part
     choices: dict[str, str] = {}
     # a frame: (mark, unit, its pending copies or None while its kind is
     # open, the copy being settled, the untried alternatives)
-    stack = [(glue.mark(), 0, None, 0, iter(plan[0][2]))]
+    stack = [(glue.mark(), 0, None, 0, iter(kinds[0]))]
     while stack:
         mark, i, pending, j, alts = stack[-1]
         glue.rollback(mark)
@@ -615,23 +735,24 @@ def _glue_search(target: Graph, plan: list, limits, stuck: list):
             stack.pop()
             continue
         tick()
-        name, parts, _ = plan[i]
         if pending is None:
-            choices[name] = alt
-            failure, pending = glue.add(*parts[alt])
+            choices[names[i]] = alt
+            placed = part(i, alt)
+            failure = glue.add(placed)
+            pending = placed.pending
         else:
             failure = glue.union(*alt[0]) or glue.union(*alt[1])
             j += 1
         if failure is not None:
             if not stuck or i > stuck[0]:
-                stuck[:] = (i, name, choices[name], failure)
+                stuck[:] = (i, names[i], choices[names[i]], failure)
             continue
         while j < len(pending) and not (ways := glue.ways(*pending[j])):
             j += 1
         if j < len(pending):
             stack.append((glue.mark(), i, pending, j, iter(ways)))
-        elif i + 1 < len(plan):
-            stack.append((glue.mark(), i + 1, None, 0, iter(plan[i + 1][2])))
+        elif i + 1 < len(kinds):
+            stack.append((glue.mark(), i + 1, None, 0, iter(kinds[i + 1])))
         else:
             yield choices, glue
 
@@ -656,9 +777,9 @@ def template_solve(bp: GadgetBlueprint,
     unknown = set(pin) - {name for name, _ in units}
     if unknown:
         raise StructureError(f"pinned units not registered: {sorted(unknown)}")
-    plan = _plan(bp, units, pin)
+    plan = _Plan(bp, units)
     results: dict[tuple, TemplateAssignment] = {}
-    for choices, glue in _glue_search(bp.graph, plan, limits, []):
+    for choices, glue in _glue_search(plan, plan.kinds(pin), limits, []):
         key = tuple(sorted(choices.items()))
         if key in results:
             continue
@@ -670,26 +791,28 @@ def template_solve(bp: GadgetBlueprint,
     return [results[k] for k in sorted(results)]
 
 
-def glue_templates(bp: GadgetBlueprint, choices: dict[str, str],
+def glue_templates(bp: GadgetBlueprint | _Plan, choices: dict[str, str],
                    limits: SearchLimits | None = None) -> PreimageWitness:
     """Materialize one choice vector: the first verified glue of the search
     behind `template_solve` with every unit pinned to its choice.
 
-    `choices` must name every registered unit; other names are ignored.
-    `limits` may also be a running `_Budget`, which the search then keeps
-    ticking: `reduction.decide` shares one across its whole decision.
-    Raises CertificateError when the choices admit no preimage, naming the
-    first unit (in search order) whose template cannot be glued on, or
-    saying that the glued candidate does not verify.
+    `bp` is a blueprint, or its `glue_plan` when one blueprint is glued for
+    several vectors (`reduction.decide`).  `choices` must name every
+    registered unit; other names are ignored.  `limits` may also be a
+    running `_Budget`, which the search then keeps ticking: `decide` shares
+    one across its whole decision.  Raises CertificateError when the
+    choices admit no preimage, naming the first unit (in search order)
+    whose template cannot be glued on, or saying that the glued candidate
+    does not verify.
     """
-    units = sun_units(bp)
+    units = bp.units if isinstance(bp, _Plan) else sun_units(bp)
     missing = [name for name, _ in units if name not in choices]
     if missing:
         raise StructureError(f"no choice for units {missing[:3]} "
                              f"({len(missing)} in all)")
-    plan = _plan(bp, units, choices)
+    plan = bp if isinstance(bp, _Plan) else _Plan(bp, units)
     stuck: list = []
-    for _, glue in _glue_search(bp.graph, plan, limits, stuck):
+    for _, glue in _glue_search(plan, plan.kinds(choices), limits, stuck):
         w = glue.witness()
         if _verifies(w):
             return w

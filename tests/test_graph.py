@@ -402,9 +402,15 @@ def test_json_round_trip_with_labels():
     '{"n": 3, "edges": [[0, 1]], "labels": {"1": "a", "01": "b"}}',
     '{"n": 3, "edges": [], "labels": {"00": "x"}}',
     '{"n": 3, "edges": [], "labels": {"' + "1" * 5000 + '": "x"}}',
+    '{"n": 3, "edges": [], "labels": []}',
+    '{"n": 3, "edges": [], "labels": false}',
+    '{"n": 3, "edges": [], "labels": 0}',
+    '{"n": 3, "edges": [], "labels": ""}',
+    '{"n": 3, "edges": [], "labels": null}',
 ], ids=["n_string", "n_float", "n_bool", "edge_triple", "endpoint_string",
         "endpoint_bool", "label_key", "label_value", "label_vertex", "label_twice",
-        "label_key_twice", "label_key_zeros", "label_key_huge"])
+        "label_key_twice", "label_key_zeros", "label_key_huge", "labels_empty_list",
+        "labels_false", "labels_zero", "labels_empty_string", "labels_null"])
 def test_parse_json_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_json(text)

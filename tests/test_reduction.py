@@ -13,7 +13,7 @@ from trilin.errors import (
     StructureError,
     UnsatisfyingAssignmentError,
 )
-from trilin import reduction
+from trilin import reduction, search
 from trilin.gadgets import (
     EQUAL,
     NOT,
@@ -368,6 +368,18 @@ def test_decide_tries_the_next_assignment_after_a_failed_glue(
     res = decide(parse_dimacs(SINGLE), enforce=enforce)
     assert (res.status, res.assignment) == (status, assignment)
     assert len(failed) == failures
+
+
+def test_decide_plans_the_compiled_graph_once(monkeypatch):
+    # one glue plan for the tap check and one for the compiled graph, which
+    # each of the 7 satisfying assignments at size 13 re-pins
+    plans = []
+    init = search._Plan.__init__
+    monkeypatch.setattr(search._Plan, "__init__",
+                        lambda self, *args: (plans.append(1), init(self, *args))[1])
+    res = decide(parse_dimacs(SINGLE), enforce=13)
+    assert res.status == "UNSAT"
+    assert len(plans) == 2
 
 
 def test_decide_tap_check_ticks_the_decision_budget(monkeypatch):

@@ -552,10 +552,10 @@ def test_unit_corners_are_the_atoms_the_other_edges_share(k):
     # Glue.add identifies these corners across parts, so each must be the
     # one atom the edges of its triangle's other two vertices share
     sun = make_sun(k)
-    [(_, parts)] = search.unit_parts(search.sun_units(sun))
+    [(_, unit)] = search.sun_units(sun)
     triangles = {frozenset(tri) for tri in enumerate_triangles(sun.graph)}
     for kind in (WHEEL, SQUARED_CYCLE):
-        edges, corners = parts[kind]
+        edges, corners = search.unit_parts(unit, kind)
         assert {key for key, _ in corners} == triangles
         for key, opposite in corners:
             assert set(opposite) == key
