@@ -92,7 +92,7 @@ def build_clause_preimage(wheels: tuple[bool, bool, bool]) -> PreimageWitness:
     """Glue three wheel / squared-cycle legs along the clause identification.
 
     The legs are the sun units S1, S2, S3 of join_clause(make_sun(12) x3),
-    which its glue plan takes in that order; gluing their templates along
+    wheels[l - 1] picking the template of Sl; gluing their templates along
     the triangles they share (search.Glue) matches the a-triangle of leg l
     (sun indices 0, 1, 2) with the b-triangle of leg l+1 (indices 12, 13,
     14) through the edge correspondence 0=12, 1=14, 2=13.  The result is
@@ -100,7 +100,8 @@ def build_clause_preimage(wheels: tuple[bool, bool, bool]) -> PreimageWitness:
     here; the all-wheels input yields a witness that fails verification.
     """
     plan = glue_plan(join_clause(make_sun(12), make_sun(12), make_sun(12)))
+    wheel = dict(zip(("S1", "S2", "S3"), wheels))
     glue = Glue(plan)
-    for i, wheel in enumerate(wheels):
-        glue.add(plan.part(i, WHEEL if wheel else SQUARED_CYCLE))
+    for i, name in enumerate(plan.names):
+        glue.add(plan.part(i, WHEEL if wheel[name] else SQUARED_CYCLE))
     return glue.witness()

@@ -4,7 +4,8 @@ Each variable becomes a cluster (a NOT-chained wire of 7-suns with an
 enforced k-sun tapped onto every interior wire sun by an EQUAL gadget);
 each clause twists together the three tapped k-suns selected by its
 literals.  The compiled graph admits a preimage exactly when the template
-choices propagated from a satisfying assignment can all be realized.
+choices propagated from a satisfying assignment onto the units of its glue
+plan (`_pins`) can all be realized.
 
 The enforcement size k is `enforce` (default 12, the paper's construction).
 At k = 12 the enforced sun admits only the all-wheel preimage (see
@@ -199,21 +200,16 @@ def compile_formula(formula: CnfFormula, enforce: int = 12) -> ReductionOutput:
 # ---------------------------------------------------------------------------
 
 
-def _pins(r: ReductionOutput, assignment: tuple[bool, ...]) -> dict[str, str]:
-    """Template choices propagated through each variable's cluster by the
-    NOT / EQUAL joins: the root sun is a squared cycle iff the variable is
-    true, wire suns alternate, and each tapped k-sun copies its wire sun."""
-    k = r.enforce
+def _pins(names: list[str], assignment: tuple[bool, ...]) -> dict[str, str]:
+    """Each named unit's template choice propagated through its variable's
+    cluster by the NOT / EQUAL joins: a unit under x{i}/H{j} or x{i}/V{j}
+    (wire sun j, or a unit of the tap on it) is a squared cycle iff x_i's
+    value equals "j is even"."""
     pins: dict[str, str] = {}
-    for i, value in enumerate(assignment):
-        prefix = f"x{i + 1}"
-        for j in range(2 * len(r.formula.clauses) + 1):
-            kind = SQUARED_CYCLE if bool(value) == (j % 2 == 0) else WHEEL
-            pins[f"{prefix}/H{j}"] = kind
-            if j:
-                for t in range(k):
-                    pins[f"{prefix}/V{j}/emb{t}"] = kind
-                pins[f"{prefix}/V{j}/sun{k}"] = kind
+    for name in names:
+        var, sun = name.split("/", 2)[:2]
+        true = bool(assignment[int(var[1:]) - 1])
+        pins[name] = SQUARED_CYCLE if true == (int(sun[1:]) % 2 == 0) else WHEEL
     return pins
 
 
@@ -222,9 +218,9 @@ def _cycle_tap_failure(k: int, budget: _Budget) -> str | None:
     when it has one: the glue of every unit as a squared cycle, built under
     the caller's budget.  Every assignment needs one: with m >= 1 clauses
     each variable has squared-cycle taps of one parity."""
-    bp = make_binary_enforced_sun(k)
+    plan = glue_plan(make_binary_enforced_sun(k))
     try:
-        glue_templates(bp, dict.fromkeys(bp.sub_gadgets, SQUARED_CYCLE), budget)
+        glue_templates(plan, dict.fromkeys(plan.names, SQUARED_CYCLE), budget)
     except CertificateError as exc:
         return str(exc).partition(": ")[2]  # after the glue's generic head
     return None
@@ -245,13 +241,15 @@ def witness_from_assignment(r: ReductionOutput, assignment: tuple[bool, ...],
     budget = _Budget(limits or SearchLimits())
     k = r.enforce
     if _cycle_tap_failure(k, budget) is not None:
-        needy = sorted(name for name, kind in _pins(r, assignment).items()
-                       if kind == SQUARED_CYCLE and name.endswith(f"/sun{k}"))
+        taps = [name for name in r.blueprint.sub_gadgets if name.endswith(f"/sun{k}")]
+        needy = sorted(name for name, kind in _pins(taps, assignment).items()
+                       if kind == SQUARED_CYCLE)
         raise CertificateError(
             "no preimage realizes the prescribed choices: the enforced "
             f"{k}-sun has no squared-cycle-side preimage, required at "
             f"{needy[0]} (and {len(needy) - 1} more)")
-    return glue_templates(r.blueprint, _pins(r, assignment), budget)
+    plan = glue_plan(r.blueprint)
+    return glue_templates(plan, _pins(plan.names, assignment), budget)
 
 
 def assignment_from_witness(r: ReductionOutput,
@@ -329,7 +327,7 @@ def decide(formula: CnfFormula, limits: SearchLimits | None = None,
                 continue
             plan = plan or glue_plan(r.blueprint)
             try:
-                w = glue_templates(plan, _pins(r, bits), budget)
+                w = glue_templates(plan, _pins(plan.names, bits), budget)
             except CertificateError:
                 continue
             return DecisionResult("SAT", bits, w)

@@ -689,8 +689,11 @@ class _Plan:
 
     def kinds(self, pin: dict[str, str]) -> list[tuple]:
         """The kinds each unit tries, in plan order: its pinned kind, or
-        both.  Raises StructureError when a unit is pinned to a kind other
-        than WHEEL or SQUARED_CYCLE."""
+        both.  The one pin check: raises StructureError when the pin names
+        anything but a unit, or a kind other than WHEEL or SQUARED_CYCLE."""
+        unknown = pin.keys() - set(self.names)
+        if unknown:
+            raise StructureError(f"pinned units not registered: {sorted(unknown)}")
         for name, _ in self.units:
             if pin.get(name, WHEEL) not in (WHEEL, SQUARED_CYCLE):
                 raise StructureError(f"unit {name} pinned to unknown kind {pin[name]!r}")
@@ -769,17 +772,15 @@ def template_solve(bp: GadgetBlueprint,
     `_glue_search` prunes a prefix as soon as its glue fails in a way no
     later unit can repair; each complete glue is kept when it verifies.
 
-    pin fixes the choice of named units (others stay free); max_results
-    stops the enumeration early; limits may be a running `_Budget`.
+    pin fixes the choice of named units (others stay free; `_Plan.kinds`
+    checks it); max_results, at least 1, stops the enumeration early;
+    limits may be a running `_Budget`.
     """
-    pin = pin or {}
-    units = sun_units(bp)
-    unknown = set(pin) - {name for name, _ in units}
-    if unknown:
-        raise StructureError(f"pinned units not registered: {sorted(unknown)}")
-    plan = _Plan(bp, units)
+    if max_results is not None and max_results < 1:
+        raise StructureError(f"max_results must be at least 1, got {max_results!r}")
+    plan = glue_plan(bp)
     results: dict[tuple, TemplateAssignment] = {}
-    for choices, glue in _glue_search(plan, plan.kinds(pin), limits, []):
+    for choices, glue in _glue_search(plan, plan.kinds(pin or {}), limits, []):
         key = tuple(sorted(choices.items()))
         if key in results:
             continue
@@ -791,32 +792,31 @@ def template_solve(bp: GadgetBlueprint,
     return [results[k] for k in sorted(results)]
 
 
-def glue_templates(bp: GadgetBlueprint | _Plan, choices: dict[str, str],
+def glue_templates(plan: _Plan, choices: dict[str, str],
                    limits: SearchLimits | None = None) -> PreimageWitness:
     """Materialize one choice vector: the first verified glue of the search
     behind `template_solve` with every unit pinned to its choice.
 
-    `bp` is a blueprint, or its `glue_plan` when one blueprint is glued for
-    several vectors (`reduction.decide`).  `choices` must name every
-    registered unit; other names are ignored.  `limits` may also be a
-    running `_Budget`, which the search then keeps ticking: `decide` shares
-    one across its whole decision.  Raises CertificateError when the
+    `plan` is the blueprint's `glue_plan`, which one blueprint glued for
+    several vectors reuses (`reduction.decide`).  `choices` must name every
+    unit of the plan and nothing else (`_Plan.kinds`).  `limits` may also
+    be a running `_Budget`, which the search then keeps ticking: `decide`
+    shares one across its whole decision.  Raises CertificateError when the
     choices admit no preimage, naming the first unit (in search order)
     whose template cannot be glued on, or saying that the glued candidate
     does not verify.
     """
-    units = bp.units if isinstance(bp, _Plan) else sun_units(bp)
-    missing = [name for name, _ in units if name not in choices]
+    kinds = plan.kinds(choices)
+    missing = [name for name, _ in plan.units if name not in choices]
     if missing:
         raise StructureError(f"no choice for units {missing[:3]} "
                              f"({len(missing)} in all)")
-    plan = bp if isinstance(bp, _Plan) else _Plan(bp, units)
     stuck: list = []
-    for _, glue in _glue_search(plan, plan.kinds(choices), limits, stuck):
+    for _, glue in _glue_search(plan, kinds, limits, stuck):
         w = glue.witness()
         if _verifies(w):
             return w
-        stuck[:] = (len(units), None, None, None)  # deeper than any unit
+        stuck[:] = (len(kinds), None, None, None)  # deeper than any unit
     _, name, kind, failure = stuck
     raise CertificateError(
         "no preimage realizes the prescribed template choices: " + (

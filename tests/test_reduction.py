@@ -37,7 +37,7 @@ from trilin.reduction import (
     violated_clause,
     witness_from_assignment,
 )
-from trilin.search import SQUARED_CYCLE, SearchLimits, _Budget, template_solve
+from trilin.search import SQUARED_CYCLE, WHEEL, SearchLimits, _Budget, template_solve
 
 from test_acceptance import build_corpus
 
@@ -426,6 +426,60 @@ def test_tap_check_node_counts(k, nodes):
         reduction._cycle_tap_failure(k, _Budget(SearchLimits(node_budget=nodes - 1)))
 
 
+def _capture_glues(monkeypatch) -> list:
+    # the (unit names, choices) of every glue_templates call the reduction makes
+    calls = []
+    glue = reduction.glue_templates
+
+    def capturing_glue(plan, choices, limits):
+        calls.append((plan.names, dict(choices)))
+        return glue(plan, choices, limits)
+
+    monkeypatch.setattr(reduction, "glue_templates", capturing_glue)
+    return calls
+
+
+def test_tap_check_pins_the_units_of_its_plan(monkeypatch):
+    # the enforced 12-sun registers 25 names, 12 of them chains; its plan
+    # has 13 units, and the check pins exactly those, all squared cycles
+    calls = _capture_glues(monkeypatch)
+    assert reduction._cycle_tap_failure(12, _Budget(SearchLimits())) is not None
+    bp = make_binary_enforced_sun(12)
+    units = [name for name, _ in search.sun_units(bp)]
+    assert len(bp.sub_gadgets) == 25 and len(units) == 13
+    [(names, choices)] = calls
+    assert sorted(names) == sorted(units)
+    assert choices == dict.fromkeys(names, SQUARED_CYCLE)
+
+
+@pytest.mark.parametrize("enforce, units, glues", [(13, 93, 7 + 1), (16, 111, 1 + 1)])
+def test_reduction_pins_the_compiled_plan_units(monkeypatch, enforce, units, glues):
+    # decide glues each satisfying assignment it tries (all 7 at 13, the
+    # first at 16) and witness_from_assignment glues one; each pins exactly
+    # the compiled plan's units, every unit of tap x{i}/V{j} with the kind
+    # of its wire sun x{i}/H{j}
+    f = parse_dimacs(SINGLE)
+    r = compile_formula(f, enforce)
+    names = search.glue_plan(r.blueprint).names
+    assert len(names) == units
+    calls = _capture_glues(monkeypatch)
+    decide(f, enforce=enforce)
+    try:
+        witness_from_assignment(r, (True, False, False))
+    except CertificateError:
+        assert enforce == 13
+    glued = [choices for plan_names, choices in calls if len(plan_names) != enforce + 1]
+    assert len(glued) == glues and len(calls) == 2 + glues  # and two tap checks
+    for choices in glued:
+        assert list(choices) == names
+        for name, kind in choices.items():
+            var, sun = name.split("/")[:2]
+            assert kind == choices[f"{var}/H{sun[1:]}"]
+    # the last glue is witness_from_assignment's: x1 true, x2 and x3 false
+    assert [glued[-1][f"x{i}/H0"] for i in (1, 2, 3)] == [
+        SQUARED_CYCLE, WHEEL, WHEEL]
+
+
 UNSAT8 = "p cnf 3 8\n" + "".join(
     f"{'-' if a else ''}1 {'-' if b else ''}2 {'-' if c else ''}3 0\n"
     for a, b, c in itertools.product((False, True), repeat=3))
@@ -463,10 +517,11 @@ def test_vectors_decode_one_to_one_onto_satisfying_assignments(formulas):
     # to its assignment and pinning exactly what that assignment prescribes
     for f in formulas:
         r = compile_formula(f, 16)
+        names = search.glue_plan(r.blueprint).names
         decoded = []
         for a in template_solve(r.blueprint):
             bits = assignment_from_witness(r, a.witness)
-            assert a.choices == reduction._pins(r, bits)
+            assert a.choices == reduction._pins(names, bits)
             decoded.append(bits)
         assert sorted(decoded) == [
             bits for bits in itertools.product((False, True), repeat=f.variable_count)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -42,6 +43,7 @@ from trilin.search import (
     SearchLimits,
     brute_force_preimages,
     count_labeled_preimages,
+    glue_plan,
     glue_templates,
     is_tlg_small,
     template_solve,
@@ -597,7 +599,7 @@ def test_four_sun_squared_glue_does_not_verify():
     # the squared template puts apexes 0 and 2 on the one chord (0, 2)
     with pytest.raises(CertificateError,
                        match="the glued candidate does not verify$"):
-        glue_templates(make_sun(4), {"self": SQUARED_CYCLE})
+        glue_templates(glue_plan(make_sun(4)), {"self": SQUARED_CYCLE})
 
 
 def test_lone_eight_sun_has_classes_no_template_reaches():
@@ -690,12 +692,40 @@ def test_pinned_solve_validates_unit_names():
     with pytest.raises(StructureError, match="no registered sun units"):
         template_solve(make_bowtie())
     with pytest.raises(StructureError, match=r"no choice for units \['H1'\]"):
-        glue_templates(make_wire(1), {"H0": WHEEL})
+        glue_templates(glue_plan(make_wire(1)), {"H0": WHEEL})
     # a pinned kind that is neither template is refused, naming the unit
     with pytest.raises(StructureError, match="unit H0 pinned to unknown kind 'wheel'"):
         template_solve(make_wire(1), pin={"H0": "wheel"})
     with pytest.raises(StructureError, match="unit H1 pinned to unknown kind None"):
-        glue_templates(make_wire(1), {"H0": "WHEEL", "H1": None})
+        glue_templates(glue_plan(make_wire(1)), {"H0": "WHEEL", "H1": None})
+    # names that are no unit are refused before any kind is read
+    with pytest.raises(StructureError, match=re.escape(
+            "pinned units not registered: ['H0/root', 'nonsense']")):
+        glue_templates(glue_plan(make_wire(1)), {
+            "H0": WHEEL, "H1": SQUARED_CYCLE, "H0/root": "garbage", "nonsense": 3})
+    # fewer than one result is no enumeration
+    for bad in (0, -1):
+        with pytest.raises(StructureError, match=f"^max_results must be at least 1, got {bad}$"):
+            template_solve(make_wire(2), max_results=bad)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: make_binary_enforced_sun(12), "emb0/chain"),  # registered, no unit
+    (lambda: make_wire(1), "H0/root"),
+    (lambda: make_wire(1), "nonsense"),  # not registered at all
+])
+def test_pins_name_only_units(build, name):
+    # the glue plan's units are the one list a pin may name: both solvers
+    # refuse any other name, even beside a choice for every unit
+    bp = build()
+    plan = glue_plan(bp)
+    assert name not in plan.names
+    choices = dict.fromkeys(plan.names, WHEEL) | {name: WHEEL}
+    refusal = re.escape(f"pinned units not registered: [{name!r}]")
+    with pytest.raises(StructureError, match=refusal):
+        template_solve(bp, pin={name: WHEEL})
+    with pytest.raises(StructureError, match=refusal):
+        glue_templates(plan, choices)
 
 
 def test_max_results_short_circuits():
@@ -786,13 +816,13 @@ def test_long_wire_glues_without_recursion_limit():
     found = template_solve(bp, pin=pins, max_results=1)
     assert len(found) == 1 and found[0].choices == pins
     assert verify_certificate(found[0].witness)
-    assert verify_certificate(glue_templates(bp, pins))
+    assert verify_certificate(glue_templates(glue_plan(bp), pins))
 
 
 def test_glue_templates_names_the_unit_that_cannot_glue():
     # two adjacent wire suns cannot both be wheels
     with pytest.raises(CertificateError) as exc:
-        glue_templates(make_wire(1), {"H0": WHEEL, "H1": WHEEL})
+        glue_templates(glue_plan(make_wire(1)), {"H0": WHEEL, "H1": WHEEL})
     assert "H1" in str(exc.value)
 
 
@@ -804,7 +834,7 @@ def test_glue_templates_reports_a_glue_that_does_not_verify():
     graph = Graph(sun.graph.n, list(sun.graph.edges) + [(apex[0], apex[3])])
     bp = GadgetBlueprint(graph, sun.kind, dict(sun.roles))
     with pytest.raises(CertificateError, match="does not verify"):
-        glue_templates(bp, {"self": WHEEL})
+        glue_templates(glue_plan(bp), {"self": WHEEL})
 
 
 def test_vertex_outside_every_unit_is_a_structure_error():
@@ -816,7 +846,7 @@ def test_vertex_outside_every_unit_is_a_structure_error():
     with pytest.raises(StructureError, match="vertex 14"):
         template_solve(bp)
     with pytest.raises(StructureError, match="vertex 14"):
-        glue_templates(bp, {"S": WHEEL})
+        glue_templates(glue_plan(bp), {"S": WHEEL})
     # two 7-suns S (0..13) and T (14..27), and a triangle (0, 14, 15) with a
     # vertex in each of them but inside neither
     shifted = [(u + 14, v + 14) for u, v in sun.graph.edges]
