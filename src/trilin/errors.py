@@ -27,6 +27,14 @@ class CertificateError(TrilinError):
     """A preimage witness is structurally invalid (non-bijective mapping etc.)."""
 
 
+class GlueError(CertificateError):
+    """Prescribed template choices admit no preimage; `failure` says why."""
+
+    def __init__(self, failure: str):
+        super().__init__(f"no preimage realizes the prescribed template choices: {failure}")
+        self.failure = failure
+
+
 class StructureError(TrilinError):
     """A blueprint does not satisfy the structural preconditions of an operation."""
 

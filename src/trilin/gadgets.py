@@ -79,8 +79,9 @@ def _vertex_names(g: Graph) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _validate_bowtie(g: Graph, center: int, t1: tuple[int, int], t2: tuple[int, int]) -> None:
-    verts = (center,) + tuple(t1) + tuple(t2)
+def _bowtie(g: Graph, center: int, t1: tuple[int, int], t2: tuple[int, int]) -> SubGadget:
+    """The bowtie of g with triangles center + t1 and center + t2, checked."""
+    verts = (center,) + t1 + t2
     if len(set(verts)) != 5:
         raise StructureError("bowtie roles must name five distinct vertices")
     edges = g.edges
@@ -91,6 +92,7 @@ def _validate_bowtie(g: Graph, center: int, t1: tuple[int, int], t2: tuple[int, 
     # the two triangles must share only the center
     if any(((u, v) if u < v else (v, u)) in edges for u in t1 for v in t2):
         raise StructureError("bowtie triangles share more than the center")
+    return SubGadget("bowtie", verts, {"center": (center,), "t1": t1, "t2": t2})
 
 
 def _require_sun7(bp: GadgetBlueprint) -> None:
@@ -131,14 +133,11 @@ class Assembly:
         if len(set(names)) < g.n:
             twice = next(x for i, x in enumerate(names) if x in names[:i])
             raise StructureError(f"part {prefix!r} names two vertices {twice!r}")
-        off = self._n
-        self._n += g.n
-        self._parts.append((off, g.n, g.edges))
-        sep = f"={prefix}/"
-        self._labels += [f"{prefix}/{x.replace('=', sep)}" for x in names] if prefix else names
-        self._subs[prefix] = (off, SubGadget(bp.kind, tuple(range(g.n)), bp.roles))
-        for name, sg in bp.sub_gadgets.items():
-            self._subs[f"{prefix}/{name}" if prefix else name] = (off, sg)
+        part = Assembly()
+        part._n, part._parts, part._labels = g.n, [(0, g.n, g.edges)], names
+        part._subs = {name: (0, sg) for name, sg in bp.sub_gadgets.items()}
+        self._subs[prefix] = (self._n, SubGadget(bp.kind, tuple(range(g.n)), bp.roles))
+        self.add_copy(part, prefix)
 
     def add_copy(self, part: Assembly, prefix: str) -> None:
         """Add a copy of an unbuilt assembly, its identifications included,
@@ -226,19 +225,16 @@ class Assembly:
 
 class _Registry(Mapping):
     """A built blueprint's read-only sub-gadget registry: the assembly's
-    (offset, SubGadget) entries in part coordinates, each translated through
-    the build's vertex map the first time it is read, then kept.  Its JSON
-    text is written from the entries and the vertex map, with no entry
-    translated (to_json)."""
+    (offset, SubGadget) entries in part coordinates, an entry translated
+    through the build's vertex map each time it is read (`sun_units` reads
+    only the units).  Its JSON text is written from the entries and the
+    vertex map, with no entry translated (to_json)."""
 
     def __init__(self, entries: dict[str, tuple[int, SubGadget]], vmap: list[int]):
-        self._entries, self._vmap, self._read = entries, vmap, {}
+        self._entries, self._vmap = entries, vmap
 
     def __getitem__(self, name: str) -> SubGadget:
-        sg = self._read.get(name)
-        if sg is None:
-            sg = self._read[name] = self._translate(*self._entries[name])
-        return sg
+        return self._translate(*self._entries[name])
 
     def _translate(self, off: int, sg: SubGadget) -> SubGadget:
         vm = self._vmap
@@ -281,6 +277,30 @@ class _Registry(Mapping):
         return len(self._entries)
 
 
+def _is_sun_unit(sg: SubGadget) -> bool:
+    cycle, apex = sg.roles.get("cycle"), sg.roles.get("apex")
+    return (cycle is not None and apex is not None and len(cycle) == len(apex)
+            and set(sg.vertices) == set(cycle) | set(apex))
+
+
+def sun_units(bp: GadgetBlueprint) -> list[tuple[str, SubGadget]]:
+    """The units a template solver branches over: the blueprint itself (as
+    "self"), then every registered sub-gadget in name order, each taken
+    exactly when its roles hold `cycle` and `apex` of equal length and its
+    vertex set is exactly those vertices, as stored: a built registry reads
+    (translates) only the units.  Raises StructureError when there is none."""
+    whole = SubGadget(bp.kind, tuple(range(bp.graph.n)), dict(bp.roles))
+    subs = bp.sub_gadgets
+    stored = ({name: sg for name, (_, sg) in subs._entries.items()}
+              if isinstance(subs, _Registry) else subs)
+    units = [("self", whole)] if _is_sun_unit(whole) else []
+    units += [(name, subs[name]) for name in sorted(stored)
+              if name != "self" and _is_sun_unit(stored[name])]
+    if not units:
+        raise StructureError("blueprint has no registered sun units")
+    return units
+
+
 def _plan(sg: SubGadget) -> tuple:
     """How _Registry.to_json writes sg: the escaped text before its vertex
     ids, the span [lo, hi) of part coordinates it reads, a getter of its
@@ -316,9 +336,7 @@ def make_bowtie() -> GadgetBlueprint:
         [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)],
         {0: "center", 1: "t1c", 2: "t1a", 3: "t2c", 4: "t2a"},
     )
-    roles = {"center": (0,), "t1": (1, 2), "t2": (3, 4)}
-    _validate_bowtie(g, 0, (1, 2), (3, 4))
-    return GadgetBlueprint(g, "bowtie", roles)
+    return GadgetBlueprint(g, "bowtie", _bowtie(g, 0, (1, 2), (3, 4)).roles)
 
 
 def make_fan(k: int) -> GadgetBlueprint:
@@ -365,25 +383,23 @@ def make_squared_cycle(k: int) -> GadgetBlueprint:
     return GadgetBlueprint(g, f"squared_cycle{k}", {"cycle": tuple(range(k))})
 
 
-def _sun_parts(k: int, off: int = 0):
-    cycle = tuple(range(off, off + k))
-    apex = tuple(range(off + k, off + 2 * k))
+def _sun_parts(k: int):
+    """A k-sun's edges, vertex names (c0.., a0..) and roles."""
+    cycle = tuple(range(k))
+    apex = tuple(range(k, 2 * k))
     edges = [(cycle[i], cycle[(i + 1) % k]) for i in range(k)]
     for i in range(k):
         edges += [(apex[i], cycle[i]), (apex[i], cycle[(i + 1) % k])]
-    return cycle, apex, edges
+    names = [f"c{i}" for i in range(k)] + [f"a{i}" for i in range(k)]
+    return edges, names, {"cycle": cycle, "apex": apex, **_clause_roles(cycle, apex)}
 
 
 def make_sun(k: int) -> GadgetBlueprint:
     """k-cycle with one degree-2 apex on each cycle edge: 2k vertices, 3k edges."""
     if k < 4:
         raise StructureError(f"sun needs k >= 4, got {k}")
-    cycle, apex, edges = _sun_parts(k)
-    labels = {**{c: f"c{i}" for i, c in enumerate(cycle)},
-              **{a: f"a{i}" for i, a in enumerate(apex)}}
-    g = Graph(2 * k, edges, labels)
-    roles = {"cycle": cycle, "apex": apex, **_clause_roles(cycle, apex)}
-    return GadgetBlueprint(g, f"sun{k}", roles)
+    edges, names, roles = _sun_parts(k)
+    return GadgetBlueprint(Graph(2 * k, edges, dict(enumerate(names))), f"sun{k}", roles)
 
 
 def _clause_roles(cycle: tuple[int, ...], apex: tuple[int, ...]) -> dict:
@@ -403,12 +419,8 @@ def _sun_bowtie(g: Graph, cycle: tuple[int, ...], apex: tuple[int, ...],
     """Bowtie of the two sun triangles meeting at cycle vertex center_idx."""
     k = len(cycle)
     i = center_idx
-    center = cycle[i]
-    t1 = (cycle[(i - 1) % k], apex[(i - 1) % k])
-    t2 = (cycle[(i + 1) % k], apex[i])
-    _validate_bowtie(g, center, t1, t2)
-    return SubGadget("bowtie", (center,) + t1 + t2,
-                     {"center": (center,), "t1": t1, "t2": t2})
+    return _bowtie(g, cycle[i], (cycle[(i - 1) % k], apex[(i - 1) % k]),
+                   (cycle[(i + 1) % k], apex[i]))
 
 
 def designate_attachments(sun7: GadgetBlueprint) -> GadgetBlueprint:
@@ -433,8 +445,8 @@ def make_binary_enforced_sun(k: int) -> GadgetBlueprint:
     Chain i's vertices w1, w2, p1, p2, p3 are 2k + 5i ... 2k + 5i + 4."""
     if k < 9:
         raise StructureError(f"binary-enforced sun needs k >= 9, got {k}")
-    cycle, apex, edges = _sun_parts(k)
-    names = [f"c{i}" for i in range(k)] + [f"a{i}" for i in range(k)]
+    edges, names, roles = _sun_parts(k)
+    cycle, apex = roles["cycle"], roles["apex"]
     cycle2, apex2 = cycle * 2, apex * 2  # index i + d wraps around
     chains = range(2 * k, 7 * k, 5)
     for i, w1 in enumerate(chains):
@@ -457,16 +469,11 @@ def make_binary_enforced_sun(k: int) -> GadgetBlueprint:
         subs[f"emb{i}"] = SubGadget(
             "sun7", tuple(sorted(cyc7 + apx7)), {"cycle": cyc7, "apex": apx7}
         )
-        t1 = (cycle2[i + 4], p1)
-        t2 = (w2, p2)
-        _validate_bowtie(g, w1, t1, t2)
-        subs[f"emb{i}/chain"] = SubGadget(
-            "bowtie", (w1,) + t1 + t2, {"center": (w1,), "t1": t1, "t2": t2}
-        )
+        # the chain is the embedded 7-sun's bowtie at w1, its cycle vertex 5
+        subs[f"emb{i}/chain"] = _sun_bowtie(g, cyc7, apx7, 5)
     subs[f"sun{k}"] = SubGadget(
         f"sun{k}", tuple(cycle + apex), {"cycle": cycle, "apex": apex}
     )
-    roles = {"cycle": cycle, "apex": apex, **_clause_roles(cycle, apex)}
     return GadgetBlueprint(g, f"binary_sun{k}", roles, subs)
 
 

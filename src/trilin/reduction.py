@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from .errors import (
     BudgetExceededError,
     CertificateError,
+    GlueError,
     ParseError,
     StructureError,
     UnsatisfyingAssignmentError,
@@ -221,8 +222,8 @@ def _cycle_tap_failure(k: int, budget: _Budget) -> str | None:
     plan = glue_plan(make_binary_enforced_sun(k))
     try:
         glue_templates(plan, dict.fromkeys(plan.names, SQUARED_CYCLE), budget)
-    except CertificateError as exc:
-        return str(exc).partition(": ")[2]  # after the glue's generic head
+    except GlueError as exc:
+        return exc.failure
     return None
 
 

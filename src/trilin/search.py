@@ -34,8 +34,8 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, CapacityError, CertificateError, StructureError
-from .gadgets import GadgetBlueprint, SubGadget
+from .errors import BudgetExceededError, CapacityError, GlueError, StructureError
+from .gadgets import GadgetBlueprint, SubGadget, sun_units
 from .graph import Graph, canonical_form, enumerate_triangles
 from .operators import PreimageWitness, verify_certificate
 
@@ -500,28 +500,6 @@ class Glue:
         return PreimageWitness(self.target, Graph(len(vid), mapping), mapping)
 
 
-def _is_sun_unit(sg: SubGadget) -> bool:
-    cycle, apex = sg.roles.get("cycle"), sg.roles.get("apex")
-    return (cycle is not None and apex is not None and len(cycle) == len(apex)
-            and set(sg.vertices) == set(cycle) | set(apex))
-
-
-def sun_units(bp: GadgetBlueprint) -> list[tuple[str, SubGadget]]:
-    """The units a template solver branches over: the blueprint itself (as
-    "self"), then every registered sub-gadget in name order, each taken
-    exactly when its roles hold `cycle` and `apex` of equal length and its
-    vertex set is exactly those vertices.  Raises StructureError when there
-    is none."""
-    whole = SubGadget(bp.kind, tuple(range(bp.graph.n)), dict(bp.roles))
-    candidates = [("self", whole)] + [
-        (name, bp.sub_gadgets[name]) for name in sorted(bp.sub_gadgets)
-        if name != "self"]
-    units = [(name, sg) for name, sg in candidates if _is_sun_unit(sg)]
-    if not units:
-        raise StructureError("blueprint has no registered sun units")
-    return units
-
-
 def unit_parts(sg: SubGadget, kind: str, offset: int = 0) -> tuple[dict, list]:
     """A sun unit's template of one kind, with its atoms numbered from
     `offset`: (edges, corners), edges mapping each target vertex to its
@@ -605,7 +583,6 @@ class _Plan:
 
     def __init__(self, bp: GadgetBlueprint, units: list[tuple[str, SubGadget]]):
         self.target = g = bp.graph
-        self.units = units
         mask = [0] * g.n  # the units holding each vertex, as bits
         for i, (_, sg) in enumerate(units):
             bit = 1 << i
@@ -694,8 +671,8 @@ class _Plan:
         unknown = pin.keys() - set(self.names)
         if unknown:
             raise StructureError(f"pinned units not registered: {sorted(unknown)}")
-        for name, _ in self.units:
-            if pin.get(name, WHEEL) not in (WHEEL, SQUARED_CYCLE):
+        for name in sorted(pin):
+            if pin[name] not in (WHEEL, SQUARED_CYCLE):
                 raise StructureError(f"unit {name} pinned to unknown kind {pin[name]!r}")
         return [(pin[name],) if name in pin else (WHEEL, SQUARED_CYCLE)
                 for name in self.names]
@@ -713,17 +690,15 @@ def _verifies(w: PreimageWitness) -> bool:
     return len(w.edge_to_vertex) == w.target.n and verify_certificate(w)
 
 
-def _glue_search(plan: _Plan, kinds: list, limits, stuck: list):
+def _glue_search(plan: _Plan, kinds: list, budget: _Budget, stuck: list):
     """Depth-first search over each unit's kind, in plan order, and over
     each way to settle the unit's copies of target vertices placed before
     (`Glue.ways`).  Yields (choices, glue) whenever every unit is glued
     without a failure; the glue holds that candidate until the search
     resumes.  Branch points live on an explicit stack, so there is no
-    recursion-depth limit.  `kinds` is `plan.kinds(pin)`; `limits` is
-    SearchLimits, None, or a running `_Budget` to keep ticking.  `stuck`
-    ends as (unit index, name, kind, failure) of the deepest failed glue."""
-    tick = (limits if isinstance(limits, _Budget)
-            else _Budget(limits or SearchLimits())).tick
+    recursion-depth limit.  `kinds` is `plan.kinds(pin)`; each node ticks
+    `budget`.  `stuck` ends as (unit index, name, kind, failure) of the
+    deepest failed glue."""
     glue = Glue(plan)
     names, part = plan.names, plan.part
     choices: dict[str, str] = {}
@@ -737,7 +712,7 @@ def _glue_search(plan: _Plan, kinds: list, limits, stuck: list):
         if alt is None:
             stack.pop()
             continue
-        tick()
+        budget.tick()
         if pending is None:
             choices[names[i]] = alt
             placed = part(i, alt)
@@ -774,13 +749,14 @@ def template_solve(bp: GadgetBlueprint,
 
     pin fixes the choice of named units (others stay free; `_Plan.kinds`
     checks it); max_results, at least 1, stops the enumeration early;
-    limits may be a running `_Budget`.
+    limits bounds this one solve.
     """
     if max_results is not None and max_results < 1:
         raise StructureError(f"max_results must be at least 1, got {max_results!r}")
     plan = glue_plan(bp)
+    kinds = plan.kinds(pin or {})
     results: dict[tuple, TemplateAssignment] = {}
-    for choices, glue in _glue_search(plan, plan.kinds(pin or {}), limits, []):
+    for choices, glue in _glue_search(plan, kinds, _Budget(limits or SearchLimits()), []):
         key = tuple(sorted(choices.items()))
         if key in results:
             continue
@@ -793,7 +769,7 @@ def template_solve(bp: GadgetBlueprint,
 
 
 def glue_templates(plan: _Plan, choices: dict[str, str],
-                   limits: SearchLimits | None = None) -> PreimageWitness:
+                   limits: SearchLimits | _Budget | None = None) -> PreimageWitness:
     """Materialize one choice vector: the first verified glue of the search
     behind `template_solve` with every unit pinned to its choice.
 
@@ -801,24 +777,23 @@ def glue_templates(plan: _Plan, choices: dict[str, str],
     several vectors reuses (`reduction.decide`).  `choices` must name every
     unit of the plan and nothing else (`_Plan.kinds`).  `limits` may also
     be a running `_Budget`, which the search then keeps ticking: `decide`
-    shares one across its whole decision.  Raises CertificateError when the
-    choices admit no preimage, naming the first unit (in search order)
-    whose template cannot be glued on, or saying that the glued candidate
-    does not verify.
+    shares one across its whole decision.  Raises GlueError when the
+    choices admit no preimage, its `failure` naming the first unit (in
+    search order) whose template cannot be glued on, or saying that the
+    glued candidate does not verify.
     """
     kinds = plan.kinds(choices)
-    missing = [name for name, _ in plan.units if name not in choices]
+    missing = [name for name in sorted(plan.names) if name not in choices]
     if missing:
         raise StructureError(f"no choice for units {missing[:3]} "
                              f"({len(missing)} in all)")
+    budget = limits if isinstance(limits, _Budget) else _Budget(limits or SearchLimits())
     stuck: list = []
-    for _, glue in _glue_search(plan, kinds, limits, stuck):
+    for _, glue in _glue_search(plan, kinds, budget, stuck):
         w = glue.witness()
         if _verifies(w):
             return w
         stuck[:] = (len(kinds), None, None, None)  # deeper than any unit
     _, name, kind, failure = stuck
-    raise CertificateError(
-        "no preimage realizes the prescribed template choices: " + (
-            f"gluing the {kind} template of {name} makes {failure}" if name
-            else "the glued candidate does not verify"))
+    raise GlueError(f"gluing the {kind} template of {name} makes {failure}" if name
+                    else "the glued candidate does not verify")

@@ -40,7 +40,7 @@ from trilin.operators import (
     witness_of_operator,
 )
 from trilin.reduction import CnfFormula, compile_formula, parse_dimacs
-from trilin.search import sun_units, template_solve
+from trilin.search import glue_plan, sun_units, template_solve
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +399,23 @@ def test_compile_and_check_translate_no_sub_gadget(monkeypatch):
 
 
 def test_to_json_then_template_solve_translates_each_entry_once(monkeypatch):
+    # the JSON translates nothing, and the solver reads only the 3 units
+    # H0..H2 of the 12 entries, each once
     calls = _count_translations(monkeypatch)
     bp = make_wire(2)
     bp.to_json()
     assert template_solve(bp)
-    assert len(calls) == len(bp.sub_gadgets)
+    assert len(calls) == 3 and len(bp.sub_gadgets) == 12
+
+
+def test_glue_plan_translates_only_the_units(monkeypatch):
+    # 928 entries, of which the 4 x (7 wire suns + 6 taps x 17) = 436
+    # units are the only ones read
+    r = compile_formula(parse_dimacs("p cnf 4 3\n1 2 4 0\n-1 3 4 0\n-1 2 -4 0\n"), 16)
+    calls = _count_translations(monkeypatch)
+    plan = glue_plan(r.blueprint)
+    assert len(r.blueprint.sub_gadgets) == 928
+    assert len(plan.names) == len(calls) == 436
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ from trilin.errors import (
     BudgetExceededError,
     CapacityError,
     CertificateError,
+    GlueError,
     StructureError,
 )
 from trilin import search
 from trilin.gadgets import (
+    Assembly,
     GadgetBlueprint,
     SubGadget,
     attach_equal,
@@ -597,9 +599,11 @@ def test_template_solve_matches_the_oracle_on_small_suns(k, kinds):
 
 def test_four_sun_squared_glue_does_not_verify():
     # the squared template puts apexes 0 and 2 on the one chord (0, 2)
-    with pytest.raises(CertificateError,
-                       match="the glued candidate does not verify$"):
+    with pytest.raises(GlueError,
+                       match="the glued candidate does not verify$") as exc:
         glue_templates(glue_plan(make_sun(4)), {"self": SQUARED_CYCLE})
+    assert isinstance(exc.value, CertificateError)
+    assert exc.value.failure == "the glued candidate does not verify"
 
 
 def test_lone_eight_sun_has_classes_no_template_reaches():
@@ -618,16 +622,27 @@ def _sun7_join(attach, bowtie):
     return attach(sun, bowtie, sun, "root")
 
 
-@pytest.mark.parametrize("build,leaves", [
-    (lambda: make_wire(0), 2),
-    (lambda: make_wire(1), 2),
-    (lambda: make_wire(2), 10),
-    (lambda: make_wire(3), 51),
-    (lambda: _sun7_join(attach_equal, "equal"), 2),
-    (lambda: _sun7_join(attach_not, "not"), 2),
-    pytest.param(lambda: make_wire(4), 679, marks=pytest.mark.slow),
-], ids=["wire0", "wire1", "wire2", "wire3", "equal", "not", "wire4"])
-def test_template_solve_choice_vectors_match_the_oracle(build, leaves):
+def _suns_at_a_vertex():
+    # two 7-suns sharing cycle vertex c0 and no triangle: the second sun's
+    # copy of c0 is settled by Glue.ways, which branches 4 times
+    asm = Assembly()
+    asm.add(make_sun(7), "a")
+    asm.add(make_sun(7), "b")
+    asm.identify(0, 14)
+    return asm.build("suns_at_a_vertex")
+
+
+@pytest.mark.parametrize("build,leaves,n_vectors", [
+    (lambda: make_wire(0), 2, 2),
+    (lambda: make_wire(1), 2, 2),
+    (lambda: make_wire(2), 10, 2),
+    (lambda: make_wire(3), 51, 2),
+    (lambda: _sun7_join(attach_equal, "equal"), 2, 2),
+    (lambda: _sun7_join(attach_not, "not"), 2, 2),
+    (_suns_at_a_vertex, 10, 4),
+    pytest.param(lambda: make_wire(4), 679, 2, marks=pytest.mark.slow),
+], ids=["wire0", "wire1", "wire2", "wire3", "equal", "not", "suns_at_a_vertex", "wire4"])
+def test_template_solve_choice_vectors_match_the_oracle(build, leaves, n_vectors):
     # every oracle preimage restricts to a template on each unit, and the
     # choice vectors it projects to are template_solve's; several preimages
     # can share one vector (wire(2): 10 leaves, 2 vectors)
@@ -650,7 +665,7 @@ def test_template_solve_choice_vectors_match_the_oracle(build, leaves):
     assert count == leaves
     assert vectors == {tuple(sorted(a.choices.items()))
                        for a in template_solve(bp)}
-    assert len(vectors) == 2
+    assert len(vectors) == n_vectors
 
 
 def test_equal_join_forces_agreement():
