@@ -89,12 +89,24 @@ def _limits(time_budget, node_budget, max_target) -> SearchLimits:
     return lim
 
 
+def _echo(text: str, err: bool = False):
+    """Write a line to stdout, or to stderr with `err`.  The stream is
+    looked up per call: `click.echo`'s own default caches it in a table
+    keyed by `sys.stdout` whose value, for an already usable text stream,
+    is the key itself, so the entry never expires and an in-process caller
+    that swaps `sys.stdout` (click's `CliRunner`) keeps each call's whole
+    output alive.  errors=None asks for the same encoding repair as that
+    default."""
+    click.echo(text, file=click.get_text_stream("stderr" if err else "stdout",
+                                                errors=None))
+
+
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
-        click.echo(text)
+        _echo(text)
 
 
 def _emit_status(payload: dict, out: str | None):
@@ -243,7 +255,7 @@ def preimage_verify(witness_file):
         verdict = "VALID" if verify_certificate(w) else "INVALID"
     except CertificateError as exc:
         verdict = f"INVALID: {exc}"
-    click.echo(verdict)
+    _echo(verdict)
     if verdict != "VALID":
         sys.exit(EXIT_NEGATIVE)
 
@@ -304,7 +316,7 @@ def witness_cmd(cnf_file, assignment, out):
     try:
         w = witness_from_assignment(r, bits)
     except (UnsatisfyingAssignmentError, CertificateError) as exc:
-        click.echo(str(exc), err=True)
+        _echo(str(exc), err=True)
         sys.exit(EXIT_NEGATIVE)
     _emit(w.to_json(), out)
 
@@ -410,7 +422,7 @@ def check_lemmas(appendix_dir, time_budget, node_budget, max_target_vertices):
     rows = _check_lemma_battery(appendix_dir, lim)
     width = max(len(name) for name, _, _ in rows)
     for name, status, detail in rows:
-        click.echo(f"{status:7s} {name:<{width}s}  ({detail})")
+        _echo(f"{status:7s} {name:<{width}s}  ({detail})")
     # a failed row outranks an unfinished one
     worst = min((s for _, s, _ in rows), key=("FAIL", "UNKNOWN", "PASS").index)
     sys.exit(_STATUS_EXIT[worst])
@@ -429,7 +441,7 @@ def entry() -> None:  # pragma: no cover - thin wrapper
         message, code = exc, EXIT_INTERNAL
     except Exception as exc:  # a bug; exit 1 would read as a negative result
         message, code = f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(code)
 
 

@@ -94,7 +94,13 @@ class PreimageWitness:
                 isinstance(e, list) and len(e) == 3 and all(map(_is_int, e))
                 for e in entries):
             raise ParseError("bad witness JSON: map entries must be integer triples")
-        mapping = {_norm_edge(u, v): t for u, v, t in entries}
+        mapping = {}
+        for u, v, t in entries:
+            e = _norm_edge(u, v)
+            if u == v or e in mapping:
+                why = "is a loop" if u == v else "repeats an edge"
+                raise ParseError(f"bad witness JSON: map row {[u, v, t]} {why}")
+            mapping[e] = t
         return PreimageWitness(target, candidate, mapping)
 
     @staticmethod

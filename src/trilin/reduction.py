@@ -168,8 +168,10 @@ def compile_formula(formula: CnfFormula, enforce: int = 12) -> ReductionOutput:
     Every enforce >= 12 builds, but the measured soundness depends on it:
     12 and 15 collapse (the enforced sun keeps only the wheel side); a
     clause of enforced 13-suns has no feasible pattern and a 14-sun clause
-    has 1; 16 is sound; 17 and 18 give the 7 clause patterns, but no
-    decide() run has checked them; 19 and 20 give only 4 patterns.
+    has 1; 16 is sound; at 17 and 18, which give the 7 clause patterns,
+    decide() agrees with the truth table on the corpus, but that checks
+    only the forward direction, as its UNSAT still comes from the truth
+    table; 19 and 20 give only 4 patterns.
     Refuses a formula with no clauses and `enforce` < 12."""
     _refuse_uncompilable(formula, enforce)
     m = len(formula.clauses)
@@ -304,8 +306,8 @@ def decide(formula: CnfFormula, limits: SearchLimits | None = None,
     preimage glues and verifies.  `limits` bounds the whole
     decision, the tap check and every glue included; budget exhaustion
     reports UNKNOWN.  `enforce` is the tap size of the compiled graph; only
-    16 is known to give the truth table's answers (see compile_formula for
-    the measured sizes).  Refuses a formula of more than MAX_VARS variables
+    16, 17 and 18 are known to give the truth table's answers (see
+    compile_formula for the measured sizes).  Refuses a formula of more than MAX_VARS variables
     and, like compile_formula, one with no clauses and `enforce` < 12."""
     n = formula.variable_count
     if n > MAX_VARS:

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from trilin import cli
 from trilin.gadgets import make_bowtie, make_sun
@@ -152,6 +155,18 @@ def test_preimage_verify_rejects_non_integer_map(tmp_path):
     assert "VALID" not in res.stdout and "Traceback" not in res.stderr
 
 
+def test_preimage_verify_rejects_a_repeated_map_row(tmp_path):
+    # the map names edge (0, 1) twice
+    tri = parse_json('{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}')
+    obj = json.loads(witness_of_operator(triangular_line_graph(tri)).to_json())
+    obj["map"].append([1, 0, 0])
+    wf = tmp_path / "w.json"
+    wf.write_text(json.dumps(obj))
+    res = run_cli("preimage", "verify", str(wf))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: bad witness JSON: map row [1, 0, 0] repeats an edge\n"
+
+
 def test_reduce_command(tmp_path):
     cnf = tmp_path / "f.cnf"
     cnf.write_text(SINGLE)
@@ -260,6 +275,35 @@ def test_undecodable_inputs_are_usage_errors(tmp_path, content):
                  ("preimage", "verify", bad.as_posix())):
         res = run_cli(*args)
         assert res.returncode == 2 and "internal error" not in res.stderr, args
+
+
+def test_in_process_calls_keep_no_output(tmp_path):
+    # commands run in this process through one CliRunner keep nothing of
+    # what they wrote to stdout or stderr once they return
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(SINGLE)
+    runner = CliRunner()
+
+    def calls() -> int:
+        res = runner.invoke(cli.main, ["reduce", str(cnf)])
+        assert res.exit_code == 0
+        assert runner.invoke(cli.main, ["decide", str(cnf)]).exit_code == 1
+        failed = runner.invoke(cli.main, ["witness", str(cnf), "111"])
+        assert failed.exit_code == 1 and "no preimage" in failed.stderr
+        return len(res.stdout)
+
+    reduce_bytes = calls()  # the first round also fills the program's caches
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(5):
+            calls()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < reduce_bytes, (grown, reduce_bytes)
 
 
 def test_usage_error_for_missing_file():

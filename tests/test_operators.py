@@ -230,8 +230,14 @@ def test_witness_json_round_trip():
     [[0, 1, 0], [0, 2, 1], [1, 2, 2, 3]],
     [[0, 1, 0], [0, 2, 1], "122"],
     {"0": [1, 0]},
+    # integer rows naming a candidate edge twice, in either orientation, or
+    # a loop: a silently kept last row could still verify
+    [[0, 1, 0], [0, 2, 1], [1, 2, 2], [1, 0, 0]],
+    [[0, 1, 0], [0, 2, 1], [1, 2, 2], [1, 0, 2]],
+    [[0, 1, 0], [0, 2, 1], [1, 2, 2], [2, 2, 0]],
 ], ids=["issue_example", "float", "bool", "string", "pair", "quadruple",
-        "string_entry", "object"])
+        "string_entry", "object", "repeated_edge", "repeated_edge_other_vertex",
+        "loop"])
 def test_witness_json_rejects_non_integer_map(entries):
     tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
     obj = json.loads(witness_of_operator(triangular_line_graph(tri)).to_json())

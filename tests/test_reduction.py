@@ -42,6 +42,10 @@ from trilin.search import SQUARED_CYCLE, WHEEL, SearchLimits, _Budget, template_
 from test_acceptance import build_corpus
 
 SINGLE = "p cnf 3 1\n1 2 3 0\n"
+# every sign pattern of three variables: the smallest 3-CNF UNSAT
+ALL_EIGHT = "p cnf 3 8\n" + "".join(
+    f"{'-' if a else ''}1 {'-' if b else ''}2 {'-' if c else ''}3 0\n"
+    for a, b, c in itertools.product((False, True), repeat=3))
 
 
 def brute_sat(f: CnfFormula):
@@ -274,6 +278,21 @@ def test_witness_at_sound_size_round_trips():
     assert assignment_from_witness(r, w) == (True, False, False)
 
 
+@pytest.mark.parametrize("enforce", [17, 18])
+def test_decide_at_17_and_18_agrees_with_the_truth_table(enforce):
+    # the forward direction only: each SAT answer's witness decodes to a
+    # satisfying assignment, while UNSAT still means that no assignment
+    # satisfies the formula, not that the graph has no preimage
+    for text in (SINGLE, "p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n", ALL_EIGHT):
+        f = parse_dimacs(text)
+        res = decide(f, enforce=enforce)
+        assert res.status == ("UNSAT" if brute_sat(f) is None else "SAT"), text
+        if res.status == "SAT":
+            r = compile_formula(f, enforce)
+            assert assignment_from_witness(r, res.witness) == res.assignment
+            assert satisfies(f, res.assignment)
+
+
 def test_assignment_from_witness_verifies_the_whole_witness_once(monkeypatch):
     # one check of the whole witness, then one per variable's restriction
     import trilin.operators as operators
@@ -301,10 +320,7 @@ def test_assignment_from_witness_rejects_a_witness_of_another_graph():
 
 
 def test_decide_reports_unsat_for_contradiction():
-    text = "p cnf 3 8\n" + "".join(
-        f"{'-' if a else ''}1 {'-' if b else ''}2 {'-' if c else ''}3 0\n"
-        for a, b, c in itertools.product((False, True), repeat=3))
-    res = decide(parse_dimacs(text))
+    res = decide(parse_dimacs(ALL_EIGHT))
     assert res.status == "UNSAT"
     assert res.assignment is None and res.witness is None
 
