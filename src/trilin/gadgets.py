@@ -9,7 +9,7 @@ arising from merged triangles collapse silently (set semantics).
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _escape
 from operator import itemgetter
@@ -115,12 +115,15 @@ class Assembly:
     sub-gadgets are kept in part coordinates with the part's offset; `sub`
     shifts one on lookup, and a built blueprint's registry translates an
     entry through the build's vertex map on its first read (see _Registry).
+    A part's edges are its graph's `sorted_edges`, shared by every copy, so
+    a built graph is given its edges as sorted runs and sorts them in about
+    linear time.
     """
 
     def __init__(self):
         self._n = 0
-        # (offset, vertex count, edges in part coordinates) per part
-        self._parts: list[tuple[int, int, Iterable[tuple[int, int]]]] = []
+        # (offset, vertex count, sorted edges in part coordinates) per part
+        self._parts: list[tuple[int, int, tuple[tuple[int, int], ...]]] = []
         self._labels: list[str] = []
         self._subs: dict[str, tuple[int, SubGadget]] = {}
         self._pairs: list[tuple[int, int]] = []
@@ -134,7 +137,7 @@ class Assembly:
             twice = next(x for i, x in enumerate(names) if x in names[:i])
             raise StructureError(f"part {prefix!r} names two vertices {twice!r}")
         part = Assembly()
-        part._n, part._parts, part._labels = g.n, [(0, g.n, g.edges)], names
+        part._n, part._parts, part._labels = g.n, [(0, g.n, g.sorted_edges)], names
         part._subs = {name: (0, sg) for name, sg in bp.sub_gadgets.items()}
         self._subs[prefix] = (self._n, SubGadget(bp.kind, tuple(range(g.n)), bp.roles))
         self.add_copy(part, prefix)
@@ -197,29 +200,36 @@ class Assembly:
             if ru != rv:
                 parent[max(ru, rv)] = min(ru, rv)
         # every class is rooted at its least member, so new ids follow the
-        # roots, and off the roots parent[v] < v already has its new id
+        # roots, and off the roots parent[v] < v already has its new id:
+        # between two merged-away vertices the new ids are one range and the
+        # labels one slice.  A class's label joins its members' label parts,
+        # as does a label with several parts ("a=b") on its own.
+        n, old = self._n, self._labels
         vmap: list[int] = []
-        labels: dict[int, str] = {}
-        for v, p in enumerate(parent):
-            if p == v:
-                vmap.append(len(labels))
-                labels[len(labels)] = self._labels[v]
-            else:
-                vmap.append(vmap[p])
-        # a label changes only on a merged vertex or when it has several parts
-        merged = {x for pair in self._pairs for x in pair}
-        parts: dict[int, set[str]] = {}
-        for v, label in enumerate(self._labels):
-            if v in merged or "=" in label:
-                parts.setdefault(vmap[v], set()).update(label.split("="))
-        for nid, ps in parts.items():
-            labels[nid] = "=".join(sorted(ps))
+        names: list[str] = []
+        groups: dict[int, list[str]] = {}
+        start = 0
+        for v in sorted({x for pair in self._pairs for x in pair if parent[x] != x}):
+            vmap += range(len(names), len(names) + v - start)
+            names += old[start:v]
+            nid = vmap[parent[v]]
+            vmap.append(nid)
+            groups.setdefault(nid, [names[nid]]).append(old[v])
+            start = v + 1
+        vmap += range(len(names), len(names) + n - start)
+        names += old[start:]
+        if "=" in "".join(old):  # one search finds whether any label has parts
+            for v, x in enumerate(old):
+                if "=" in x:
+                    groups.setdefault(vmap[v], []).append(x)
+        for nid, group in groups.items():
+            names[nid] = "=".join(sorted({*"=".join(group).split("=")}))
 
         edges = []
         for off, k, part_edges in self._parts:
             tr = vmap[off:off + k]
             edges += [(tr[u], tr[v]) for u, v in part_edges]
-        graph = Graph(len(labels), edges, labels)
+        graph = Graph(len(names), edges, dict(enumerate(names)))
         return GadgetBlueprint(graph, kind, {}, _Registry(dict(self._subs), vmap), meta or {})
 
 

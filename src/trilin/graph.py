@@ -31,9 +31,11 @@ class Graph:
 
     `adj`, `sorted_edges` and the triangles (`enumerate_triangles`) are
     computed once per object, on first use, and kept; equality and hashing
-    read only n, edges and labels."""
+    read only n, edges and labels.  The edges are also kept in the order
+    they were given until `sorted_edges` sorts that order, so a graph
+    built from nearly sorted edges sorts them in about linear time."""
 
-    __slots__ = ("n", "edges", "labels", "_adj", "_sorted_edges", "_triangles")
+    __slots__ = ("n", "edges", "labels", "_adj", "_order", "_sorted_edges", "_triangles")
 
     def __init__(
         self,
@@ -43,11 +45,14 @@ class Graph:
     ):
         if n < 0:
             raise GraphConstructionError(f"negative vertex count {n}")
-        norm = set()
+        norm = []
         # an ordered plain tuple is kept as it is; only a reversed pair, a
         # list or a tuple subclass is rebuilt
         for e in edges:
-            u, v = e
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise GraphConstructionError(f"edge {e!r}: not a pair of vertex ids") from None
             if type(u) is not int or type(v) is not int:
                 raise GraphConstructionError(f"edge {e!r}: vertex ids must be int")
             if u < v:
@@ -63,9 +68,10 @@ class Graph:
                 e = (v, u)
             else:
                 raise GraphConstructionError(f"loop at vertex {u}")
-            norm.add(e)
+            norm.append(e)
         self.n = n
         self.edges = frozenset(norm)
+        self._order = tuple(norm)  # for sorted_edges, repeats included
         if labels:
             for v in labels:
                 if type(v) is not int:
@@ -94,7 +100,11 @@ class Graph:
     @property
     def sorted_edges(self) -> tuple[Edge, ...]:
         if self._sorted_edges is None:
-            self._sorted_edges = tuple(sorted(self.edges))
+            order = self._order
+            if len(order) > len(self.edges):
+                order = dict.fromkeys(order)  # the first copy of each edge
+            self._sorted_edges = tuple(sorted(order))
+            self._order = None
         return self._sorted_edges
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -382,8 +392,8 @@ def to_json_obj(g: Graph) -> dict:
     labels are a new dict."""
     obj: dict = {"n": g.n, "edges": g.sorted_edges}
     if g.labels:
-        labels = g.labels
-        obj["labels"] = {str(v): labels[v] for v in sorted(labels)}
+        keys = sorted(g.labels)
+        obj["labels"] = dict(zip(map(str, keys), map(g.labels.__getitem__, keys)))
     return obj
 
 

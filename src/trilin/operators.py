@@ -34,7 +34,8 @@ class TlgResult:
 
 
 def _edge_vertex_order(g: Graph) -> dict[Edge, int]:
-    return {e: i for i, e in enumerate(g.sorted_edges)}
+    edges = g.sorted_edges
+    return dict(zip(edges, range(len(edges))))
 
 
 def _triangle_pairs(g: Graph, index: dict[Edge, int]) -> list[tuple[int, int]]:

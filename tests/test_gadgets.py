@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import trilin.gadgets as gadgets
-from trilin.errors import StructureError
+from trilin.errors import GraphConstructionError, StructureError
 from trilin.gadgets import (
     Assembly,
     GadgetBlueprint,
@@ -327,6 +329,99 @@ def test_add_copy_equals_replaying_the_adds_under_the_prefix():
     assert got.to_json() == want.to_json()
     assert any(lab.count("=") > 1 for lab in got.graph.labels.values())
     assert dict(got.sub_gadgets) == dict(want.sub_gadgets)
+
+
+def _reference_build(asm: Assembly) -> tuple[list[int], dict[int, str], list]:
+    """The vertex map, labels and edges of asm's build, worked out one
+    vertex at a time: the reference for Assembly.build, which works a run
+    of vertices at a time between merged-away ones."""
+    parent = list(range(asm._n))
+    for u, v in asm._pairs:
+        ru, rv = gadgets._find(parent, u), gadgets._find(parent, v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    vmap: list[int] = []
+    labels: dict[int, str] = {}
+    for v, p in enumerate(parent):
+        if p == v:
+            vmap.append(len(labels))
+            labels[len(labels)] = asm._labels[v]
+        else:
+            vmap.append(vmap[p])
+    merged = {x for pair in asm._pairs for x in pair}
+    parts: dict[int, set[str]] = {}
+    for v, label in enumerate(asm._labels):
+        if v in merged or "=" in label:
+            parts.setdefault(vmap[v], set()).update(label.split("="))
+    for nid, ps in parts.items():
+        labels[nid] = "=".join(sorted(ps))
+    edges = [(vmap[off + u], vmap[off + v])
+             for off, _, part_edges in asm._parts for u, v in part_edges]
+    return vmap, labels, edges
+
+
+def _random_part(rng: random.Random, tag: str) -> GadgetBlueprint:
+    """A small random graph, some vertices unlabeled and some labels in
+    several parts ("z1=a1"), none of them a part of another label."""
+    k = rng.randint(1, 6)
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < 0.3]
+    labels = {}
+    for v in range(k):
+        roll = rng.random()
+        if roll < 0.2:
+            labels[v] = f"z{v}={tag}a{v}"  # parts out of order
+        elif roll < 0.8:
+            labels[v] = f"{tag}u{v}"
+    return GadgetBlueprint(Graph(k, edges, labels), "part")
+
+
+def _random_assembly(rng: random.Random) -> Assembly:
+    """Random parts, built composites and unbuilt copies, joined by
+    identification chains that run from later parts into earlier ones and
+    the reverse."""
+    asm = Assembly()
+    for i in range(rng.randint(1, 6)):
+        if rng.random() < 0.3:
+            # two parts, one vertex of each merged: copied, or built and added
+            inner = Assembly()
+            inner.add(_random_part(rng, "c"), "p")
+            inner.add(_random_part(rng, "d"), "q")
+            inner.identify(0, inner._n - 1)
+            if rng.random() < 0.5:
+                asm.add_copy(inner, f"C{i}")
+            else:
+                asm.add(inner.build("inner"), f"B{i}")
+        else:
+            asm.add(_random_part(rng, "p"), f"P{i}")
+        start = asm._n - 1
+        for _ in range(rng.randint(0, 2)):
+            chain = [rng.randrange(asm._n) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.5:
+                chain = [start, *chain]
+            for u, v in zip(chain, chain[1:]):
+                asm.identify(u, v)
+    return asm
+
+
+def test_build_matches_the_per_vertex_reference():
+    rng = random.Random(20241019)
+    built = 0
+    for _ in range(400):
+        asm = _random_assembly(rng)
+        vmap, labels, edges = _reference_build(asm)
+        try:
+            want = Graph(len(labels), edges, labels)
+        except GraphConstructionError as exc:  # a merge made a loop or a repeated label
+            with pytest.raises(GraphConstructionError, match=f"^{re.escape(str(exc))}$"):
+                asm.build("random")
+            continue
+        bp = asm.build("random")
+        built += 1
+        assert bp.sub_gadgets._vmap == vmap
+        assert list(bp.graph.labels.items()) == list(labels.items())
+        assert bp.graph.edges == want.edges
+        assert bp.graph.sorted_edges == tuple(sorted(want.edges))
+    assert built > 150
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from collections import namedtuple
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trilin.errors import CapacityError, GraphConstructionError, ParseError
 from trilin.gadgets import make_sun, make_wheel
@@ -109,12 +110,48 @@ def test_graph_rebuilds_other_edges_as_plain_ordered_tuples(edge):
     ([("0", 1)], None),
     ([(0, 1)], {True: "a"}),
     ([(0, 1)], {"0": "a"}),
+    ([(0, 1, 2)], None),
+    ([(0,)], None),
+    ([5], None),
 ], ids=["bool_edge", "bool_endpoint", "float_endpoint", "string_endpoint",
-        "bool_label_key", "string_label_key"])
+        "bool_label_key", "string_label_key", "triple_edge", "single_edge",
+        "int_edge"])
 def test_graph_rejects_non_int_vertex_ids(edges, labels):
     # a bool id would be written as JSON true/false, which parse_json refuses
     with pytest.raises(GraphConstructionError):
         Graph(2, edges, labels)
+
+
+@st.composite
+def edge_inputs(draw):
+    """(n, edges): a simple graph's edges in any order, each written as a
+    pair in either direction, as a tuple, a list or a tuple subclass, some
+    of them more than once."""
+    n = draw(st.integers(2, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), max_size=30))
+    edges = []
+    for u, v in pairs:
+        for _ in range(draw(st.integers(1, 2))):
+            a, b = (u, v) if draw(st.booleans()) else (v, u)
+            edges.append(draw(st.sampled_from([(a, b), [a, b], Pair(a, b)])))
+    return n, draw(st.permutations(edges))
+
+
+@example((3, [(1, 2), (0, 1)]))
+@settings(max_examples=300, deadline=None, database=None)
+@given(edge_inputs())
+def test_sorted_edges_sort_the_normalized_edge_set(case):
+    n, edges = case
+    want = tuple(sorted({(min(e), max(e)) for e in edges}))
+    g = Graph(n, edges)
+    assert g.sorted_edges == want
+    assert all(type(e) is tuple for e in g.sorted_edges)
+    assert g.edges == frozenset(want)
+    # triangles read from the sorted edges equal those read from the edge set
+    fresh = Graph(n, edges)
+    assert enumerate_triangles(g) == enumerate_triangles(fresh)
+    assert fresh._sorted_edges is None and fresh.sorted_edges == want
 
 
 def test_json_object_shares_edges_and_copies_labels():
