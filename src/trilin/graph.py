@@ -31,9 +31,10 @@ class Graph:
 
     `adj`, `sorted_edges` and the triangles (`enumerate_triangles`) are
     computed once per object, on first use, and kept; equality and hashing
-    read only n, edges and labels.  The edges are also kept in the order
-    they were given until `sorted_edges` sorts that order, so a graph
-    built from nearly sorted edges sorts them in about linear time."""
+    read only n, edges and labels.  The edges are also kept, without
+    repeats, in the order they were given until `sorted_edges` sorts that
+    order, so a graph built from nearly sorted edges sorts them in about
+    linear time."""
 
     __slots__ = ("n", "edges", "labels", "_adj", "_order", "_sorted_edges", "_triangles")
 
@@ -45,7 +46,7 @@ class Graph:
     ):
         if n < 0:
             raise GraphConstructionError(f"negative vertex count {n}")
-        norm = []
+        norm = {}  # the first copy of each edge, in input order
         # an ordered plain tuple is kept as it is; only a reversed pair, a
         # list or a tuple subclass is rebuilt
         for e in edges:
@@ -68,10 +69,10 @@ class Graph:
                 e = (v, u)
             else:
                 raise GraphConstructionError(f"loop at vertex {u}")
-            norm.append(e)
+            norm[e] = None
         self.n = n
         self.edges = frozenset(norm)
-        self._order = tuple(norm)  # for sorted_edges, repeats included
+        self._order = tuple(norm)  # for sorted_edges
         if labels:
             for v in labels:
                 if type(v) is not int:
@@ -100,10 +101,7 @@ class Graph:
     @property
     def sorted_edges(self) -> tuple[Edge, ...]:
         if self._sorted_edges is None:
-            order = self._order
-            if len(order) > len(self.edges):
-                order = dict.fromkeys(order)  # the first copy of each edge
-            self._sorted_edges = tuple(sorted(order))
+            self._sorted_edges = tuple(sorted(self._order))
             self._order = None
         return self._sorted_edges
 
