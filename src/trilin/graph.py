@@ -34,7 +34,7 @@ class Graph:
     read only n, edges and labels.  The edges are also kept, without
     repeats, in the order they were given until `sorted_edges` sorts that
     order, so a graph built from nearly sorted edges sorts them in about
-    linear time."""
+    linear time.  Whatever reads the edges in order reads `sorted_edges`."""
 
     __slots__ = ("n", "edges", "labels", "_adj", "_order", "_sorted_edges", "_triangles")
 
@@ -128,11 +128,11 @@ class Graph:
 
 def enumerate_triangles(g: Graph) -> tuple[tuple[int, int, int], ...]:
     """All 3-cliques, each exactly once, as sorted triples in sorted order;
-    enumerated on the first call and kept on g.  When g's sorted edges are
-    already computed they are read instead of the edge set, so the triples
-    come out nearly sorted and the final sort runs in about linear time."""
+    enumerated on the first call and kept on g.  Read from g's sorted
+    edges, the triples come out nearly sorted, so the final sort runs in
+    about linear time."""
     if g._triangles is None:
-        edges = g.edges if g._sorted_edges is None else g._sorted_edges
+        edges = g.sorted_edges
         nbrs: list[set[int]] = [set() for _ in range(g.n)]  # greater neighbours
         for u, v in edges:
             nbrs[u].add(v)
@@ -348,8 +348,9 @@ def to_edgelist(g: Graph) -> str:
 
 
 def parse_edgelist(text: str) -> Graph:
-    """Parse edge-list text.  '#' starts a comment; '# n <count>' sets the
-    vertex count (otherwise max id + 1 is used)."""
+    """Parse edge-list text.  '#' starts a comment; a comment whose first
+    word is n is the header '# n <count>', which may appear once and sets
+    the vertex count (otherwise max id + 1 is used)."""
     edges = []
     n_declared = None
     max_id = -1
@@ -359,7 +360,9 @@ def parse_edgelist(text: str) -> Graph:
             continue
         if line.startswith("#"):
             parts = line[1:].split()
-            if len(parts) == 2 and parts[0] == "n":
+            if parts[:1] == ["n"]:
+                if len(parts) != 2 or n_declared is not None:
+                    raise ParseError(f"expected one header '# n <count>', got {raw!r}", lineno)
                 try:
                     n_declared = int(parts[1])
                 except ValueError:

@@ -117,7 +117,7 @@ def _check_bijection(w: PreimageWitness) -> None:
     values = set(w.edge_to_vertex.values())
     if len(values) != len(w.edge_to_vertex):
         raise CertificateError("mapping is not injective")
-    if values != set(range(w.target.n)):
+    if len(values) != w.target.n or values != set(range(w.target.n)):  # sizes first
         raise CertificateError("mapping does not cover the target vertex set")
 
 
@@ -163,18 +163,19 @@ def is_triangle_induced(h: Graph, subset: Iterable[int]) -> bool:
 def restrict_preimage(w: PreimageWitness, subset: Iterable[int]) -> PreimageWitness:
     """Restrict a witness for H2 to a triangle-induced H1, per the closure
     lemma: the candidate becomes the subgraph induced by the edges mapping
-    into the subset, and the restricted witness verifies against H1."""
-    s = sorted(set(subset))
-    if not is_triangle_induced(w.target, s):
-        raise StructureError("subset is not triangle-induced in the target")
+    into the subset, and the restricted witness verifies against H1.  w is
+    verified before `_restrict` checks the subset."""
     if not verify_certificate(w):
         raise CertificateError("input witness does not verify")
-    return _restrict(w, s)
+    return _restrict(w, sorted(set(subset)))
 
 
 def _restrict(w: PreimageWitness, s: list[int]) -> PreimageWitness:
-    """restrict_preimage's body, for a verified w and a sorted
-    triangle-induced s: the checks are the caller's."""
+    """restrict_preimage's body, for a verified w and a sorted subset s:
+    raises StructureError unless s is triangle-induced in w's target;
+    verifying w is the caller's check."""
+    if not is_triangle_induced(w.target, s):
+        raise StructureError("subset is not triangle-induced in the target")
     target_sub, _ = induced_subgraph(w.target, s)
     t_index = {old: new for new, old in enumerate(s)}
     keep = set(s)

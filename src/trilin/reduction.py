@@ -40,12 +40,7 @@ from .gadgets import (
     make_binary_enforced_sun,
 )
 from .graph import every_edge_in_unique_triangle
-from .operators import (
-    PreimageWitness,
-    _restrict,
-    is_triangle_induced,
-    verify_certificate,
-)
+from .operators import PreimageWitness, _restrict, verify_certificate
 from .search import (
     SQUARED_CYCLE,
     WHEEL,
@@ -190,9 +185,6 @@ def compile_formula(formula: CnfFormula, enforce: int = 12) -> ReductionOutput:
     bp = asm.build("reduction", meta={
         "variables": formula.variable_count, "clauses": m,
     })
-    # the JSON and T(G) read the sorted edges anyway; computed first, they
-    # hand enumerate_triangles nearly sorted triples
-    bp.graph.sorted_edges
     if not every_edge_in_unique_triangle(bp.graph):
         raise StructureError("compiled graph broke the unique-triangle invariant")
     return ReductionOutput(formula, bp, roots, legs_by_clause, enforce)
@@ -241,7 +233,7 @@ def witness_from_assignment(r: ReductionOutput, assignment: tuple[bool, ...],
     bad = violated_clause(r.formula, assignment)
     if bad is not None:
         raise UnsatisfyingAssignmentError(bad)
-    budget = _Budget(limits or SearchLimits())
+    budget = _Budget(limits)
     k = r.enforce
     if _cycle_tap_failure(k, budget) is not None:
         taps = [name for name in r.blueprint.sub_gadgets if name.endswith(f"/sun{k}")]
@@ -267,8 +259,6 @@ def assignment_from_witness(r: ReductionOutput,
     values = []
     for i in range(r.formula.variable_count):
         s = sorted(set(r.blueprint.sub(r.variable_roots[i]).vertices))
-        if not is_triangle_induced(w.target, s):
-            raise StructureError("subset is not triangle-induced in the target")
         restricted = _restrict(w, s)
         n = restricted.candidate.n
         if n not in (7, 8) or not verify_certificate(restricted):
@@ -315,7 +305,7 @@ def decide(formula: CnfFormula, limits: SearchLimits | None = None,
             f"refusing {n}-variable formula (guard {MAX_VARS}); "
             "the decision procedure is exponential")
     _refuse_uncompilable(formula, enforce)
-    budget = _Budget(limits or SearchLimits())
+    budget = _Budget(limits)
     try:
         failure = _cycle_tap_failure(enforce, budget)
         if failure is not None:

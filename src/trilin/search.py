@@ -51,11 +51,17 @@ class SearchLimits:
 
 
 class _Budget:
-    def __init__(self, limits: SearchLimits):
-        for key in ("time_budget", "node_budget"):
+    """One running search's limits, from `limits` or the defaults: the
+    oracle's target cap and the budgets `tick` checks.  Refuses a negative
+    or NaN limit before any node."""
+
+    def __init__(self, limits: SearchLimits | None = None):
+        limits = limits or SearchLimits()
+        for key in ("max_target_vertices", "time_budget", "node_budget"):
             v = getattr(limits, key)
             if v is not None and not v >= 0:  # NaN too: it would never fire
                 raise StructureError(f"{key} must be non-negative, got {v!r}")
+        self.max_target_vertices = limits.max_target_vertices
         self.nodes = 0
         self.node_budget = limits.node_budget
         self.deadline = (time.monotonic() + limits.time_budget
@@ -260,12 +266,11 @@ def _certified_witnesses(h: Graph, limits: SearchLimits | None, classes: bool = 
     has an isomorphic candidate, so the first leaf of each isomorphism class
     is kept.  Each swap is tested once its later vertex is placed, cutting
     the subtree when the prefix's image sorts first, and again at the leaf."""
-    limits = limits or SearchLimits()
     budget = _Budget(limits)
-    if h.n > limits.max_target_vertices:
+    if h.n > budget.max_target_vertices:
         raise CapacityError(
             f"target has {h.n} vertices, over the limit "
-            f"{limits.max_target_vertices}")
+            f"{budget.max_target_vertices}")
     hadj = h.adj
     if any(not hadj[u] & hadj[w] for u, w in h.edges):
         return
@@ -303,15 +308,12 @@ def brute_force_preimages(h: Graph, limits: SearchLimits | None = None) -> list[
     can exceed.  Empty list means h has no preimage at all.  The witness of
     each class is its first leaf in search order, which the cut of twin
     swaps never drops, and the classes are sorted by canonical form.  Each
-    distinct candidate is canonized once: a leaf's candidate has no
-    isolated slot, so its edge set determines it.
+    leaf's candidate is canonized; after the twin cut few leaves repeat an
+    edge set, so a memo of forms would save almost nothing.
     """
     seen: dict[bytes, PreimageWitness] = {}
-    forms: dict[frozenset, bytes] = {}
     for w in _certified_witnesses(h, limits, classes=True):
-        if (form := forms.get(w.candidate.edges)) is None:
-            form = forms[w.candidate.edges] = canonical_form(w.candidate)
-        seen.setdefault(form, w)
+        seen.setdefault(canonical_form(w.candidate), w)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -756,7 +758,7 @@ def template_solve(bp: GadgetBlueprint,
     plan = glue_plan(bp)
     kinds = plan.kinds(pin or {})
     results: dict[tuple, TemplateAssignment] = {}
-    for choices, glue in _glue_search(plan, kinds, _Budget(limits or SearchLimits()), []):
+    for choices, glue in _glue_search(plan, kinds, _Budget(limits), []):
         key = tuple(sorted(choices.items()))
         if key in results:
             continue
@@ -769,27 +771,26 @@ def template_solve(bp: GadgetBlueprint,
 
 
 def glue_templates(plan: _Plan, choices: dict[str, str],
-                   limits: SearchLimits | _Budget | None = None) -> PreimageWitness:
+                   budget: _Budget | None = None) -> PreimageWitness:
     """Materialize one choice vector: the first verified glue of the search
     behind `template_solve` with every unit pinned to its choice.
 
     `plan` is the blueprint's `glue_plan`, which one blueprint glued for
     several vectors reuses (`reduction.decide`).  `choices` must name every
-    unit of the plan and nothing else (`_Plan.kinds`).  `limits` may also
-    be a running `_Budget`, which the search then keeps ticking: `decide`
-    shares one across its whole decision.  Raises GlueError when the
-    choices admit no preimage, its `failure` naming the first unit (in
-    search order) whose template cannot be glued on, or saying that the
-    glued candidate does not verify.
+    unit of the plan and nothing else (`_Plan.kinds`).  `budget` is a
+    running `_Budget`, which the search keeps ticking (`decide` shares one
+    across its whole decision), or None for a fresh one at the default
+    limits.  Raises GlueError when the choices admit no preimage, its
+    `failure` naming the first unit (in search order) whose template cannot
+    be glued on, or saying that the glued candidate does not verify.
     """
     kinds = plan.kinds(choices)
     missing = [name for name in sorted(plan.names) if name not in choices]
     if missing:
         raise StructureError(f"no choice for units {missing[:3]} "
                              f"({len(missing)} in all)")
-    budget = limits if isinstance(limits, _Budget) else _Budget(limits or SearchLimits())
     stuck: list = []
-    for _, glue in _glue_search(plan, kinds, budget, stuck):
+    for _, glue in _glue_search(plan, kinds, budget or _Budget(), stuck):
         w = glue.witness()
         if _verifies(w):
             return w

@@ -416,6 +416,7 @@ TRANSCRIPT = [
     (("witness", "f.cnf", "1x1"),
      2, "e3b0c44298fc1c14", "error: assignment must be 0/1 digits, got '1x1'"),
     (("check", "lemmas", "--node-budget", "50"), 3, "429ad57c22eabf40", ""),
+    (("check", "lemmas"), 0, "0672d0569dfe3e90", ""),
     (("check", "lemmas", "--node-budget", "50", "--appendix-dir", "nodir"),
      4, "e3b0c44298fc1c14",
      "error: cannot read appendix data: [Errno 2] No such file or directory: "

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -186,6 +187,20 @@ def test_witness_rejects_non_bijection():
         verify_certificate(PreimageWitness(w.target, w.candidate, bad))
 
 
+def test_bijection_check_costs_nothing_per_declared_target_vertex():
+    # an empty map against a declared million-vertex target: the sizes
+    # differ, so no set of the target's vertices is built
+    w = PreimageWitness(Graph(10 ** 6, []), Graph(0, []), {})
+    tracemalloc.start()
+    try:
+        with pytest.raises(CertificateError, match="does not cover"):
+            verify_certificate(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def naive_verdict(w: PreimageWitness) -> bool:
     """T(candidate) from the definition, mapped through the witness."""
     edges = w.candidate.sorted_edges
@@ -316,6 +331,11 @@ def test_restriction_rejects_invalid_witness():
     bad = PreimageWitness(wrong, w.candidate, w.edge_to_vertex)
     with pytest.raises(CertificateError):
         restrict_preimage(bad, range(wrong.n))
+    # the witness is checked before the subset, so a subset that is not
+    # triangle-induced either still reports the witness
+    tri = enumerate_triangles(wrong)[0]
+    with pytest.raises(CertificateError):
+        restrict_preimage(bad, tri[:2])
 
 
 def test_sun_restrictions_of_wheel_and_cycle_witnesses():

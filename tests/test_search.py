@@ -177,10 +177,15 @@ def test_budget_raises_cleanly():
     (SearchLimits(node_budget=float("nan")), "node_budget must be non-negative, got nan"),
     (SearchLimits(time_budget=-1.0), "time_budget must be non-negative, got -1.0"),
     (SearchLimits(node_budget=-1), "node_budget must be non-negative, got -1"),
-], ids=["nan_time", "nan_nodes", "negative_time", "negative_nodes"])
+    (SearchLimits(max_target_vertices=float("nan")),
+     "max_target_vertices must be non-negative, got nan"),
+    (SearchLimits(max_target_vertices=-1), "max_target_vertices must be non-negative, got -1"),
+], ids=["nan_time", "nan_nodes", "negative_time", "negative_nodes", "nan_cap",
+        "negative_cap"])
 def test_search_refuses_a_budget_that_never_fires(limits, shown):
-    # a NaN deadline or node budget compares false forever; the refusal
-    # comes before any node, also for a target refuted before the first
+    # a NaN limit compares false forever, and a negative target cap would
+    # report every target as over capacity; the refusal comes before any
+    # node, also for a target refuted before the first
     for target in (make_sun(7).graph, PENDANT):
         with pytest.raises(StructureError, match=f"^{shown}$"):
             is_tlg_small(target, limits)
