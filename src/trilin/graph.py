@@ -130,10 +130,16 @@ def enumerate_triangles(g: Graph) -> tuple[tuple[int, int, int], ...]:
     """All 3-cliques, each exactly once, as sorted triples in sorted order;
     enumerated on the first call and kept on g.  Read from g's sorted
     edges, the triples come out nearly sorted, so the final sort runs in
-    about linear time."""
+    about linear time.  A graph with more than twice as many vertices as
+    edges has isolated ones; its greater-neighbour sets are keyed by the
+    endpoints its edges use, so memory follows the edges.  Every other
+    graph takes one set per vertex in a list, which is faster to index."""
     if g._triangles is None:
         edges = g.sorted_edges
-        nbrs: list[set[int]] = [set() for _ in range(g.n)]  # greater neighbours
+        if g.n > 2 * len(edges):
+            nbrs = {v: set() for e in edges for v in e}  # greater neighbours
+        else:
+            nbrs = [set() for _ in range(g.n)]
         for u, v in edges:
             nbrs[u].add(v)
         tris = [(u, v, w) for u, v in edges for w in nbrs[v] if w in nbrs[u]]

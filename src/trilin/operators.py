@@ -85,11 +85,13 @@ class PreimageWitness:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "PreimageWitness":
+        if not isinstance(obj, dict):
+            raise ParseError("bad witness JSON: the top level must be an object")
         try:
             target = from_json_obj(obj["target"])
             candidate = from_json_obj(obj["candidate"])
             entries = obj["map"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ParseError(f"bad witness JSON: {exc}")
         if not isinstance(entries, list) or not all(
                 isinstance(e, list) and len(e) == 3 and all(map(_is_int, e))

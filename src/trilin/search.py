@@ -33,6 +33,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .errors import BudgetExceededError, CapacityError, GlueError, StructureError
 from .gadgets import GadgetBlueprint, SubGadget, sun_units
@@ -307,12 +308,18 @@ def brute_force_preimages(h: Graph, limits: SearchLimits | None = None) -> list[
     Complete within the candidate-vertex bound 2|V(h)|, which no preimage
     can exceed.  Empty list means h has no preimage at all.  The witness of
     each class is its first leaf in search order, which the cut of twin
-    swaps never drops, and the classes are sorted by canonical form.  Each
-    leaf's candidate is canonized; after the twin cut few leaves repeat an
-    edge set, so a memo of forms would save almost nothing.
+    swaps never drops, and the classes are sorted by canonical form.  Every
+    leaf is verified, but candidates are canonized only once a second leaf
+    arrives: a lone leaf is its own class, so a search with one leaf never
+    meets `canonical_form`'s vertex cap.  After the twin cut few leaves
+    repeat an edge set, so a memo of forms would save almost nothing.
     """
+    leaves = _certified_witnesses(h, limits, classes=True)
+    head = list(islice(leaves, 2))
+    if len(head) < 2:
+        return head
     seen: dict[bytes, PreimageWitness] = {}
-    for w in _certified_witnesses(h, limits, classes=True):
+    for w in chain(head, leaves):
         seen.setdefault(canonical_form(w.candidate), w)
     return [seen[k] for k in sorted(seen)]
 

@@ -155,6 +155,15 @@ def test_preimage_verify_rejects_non_integer_map(tmp_path):
     assert "VALID" not in res.stdout and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("text", ["[]", "3", '"x"'], ids=["array", "number", "string"])
+def test_preimage_verify_rejects_a_witness_that_is_no_object(tmp_path, text):
+    wf = tmp_path / "w.json"
+    wf.write_text(text)
+    res = run_cli("preimage", "verify", str(wf))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: bad witness JSON: the top level must be an object\n"
+
+
 def test_preimage_verify_rejects_a_repeated_map_row(tmp_path):
     # the map names edge (0, 1) twice
     tri = parse_json('{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}')
@@ -232,6 +241,21 @@ def test_tlg_compute_path_gives_isolated_vertices(tmp_path):
     assert res.returncode == 0
     obj = json.loads(res.stdout)
     assert obj["graph"]["n"] == 2 and obj["graph"]["edges"] == []
+
+
+def test_tlg_compute_costs_nothing_per_declared_vertex(tmp_path, monkeypatch, capsys):
+    # a triangle under a header declaring a million vertices: T(G) is read
+    # from the endpoints the three edges use
+    big = tmp_path / "big.edges"
+    big.write_text("# n 1000000\n0 1\n0 2\n1 2\n")
+    tracemalloc.start()
+    try:
+        code, out, _ = invoke(monkeypatch, capsys, "tlg", "compute", big.as_posix())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["graph"]["n"] == 3
+    assert peak < 2 ** 20
 
 
 def test_check_lemmas_under_tiny_budget_reports_unknown():

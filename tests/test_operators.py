@@ -201,6 +201,20 @@ def test_bijection_check_costs_nothing_per_declared_target_vertex():
     assert peak < 2 ** 20
 
 
+def test_triangle_enumeration_costs_nothing_per_declared_candidate_vertex():
+    # a K3 witness whose candidate declares a million vertices: the
+    # triangles are read from the endpoints its three edges use
+    k3 = [(0, 1), (0, 2), (1, 2)]
+    tracemalloc.start()
+    try:
+        w = PreimageWitness(Graph(3, k3), Graph(10 ** 6, k3), {e: t for t, e in enumerate(k3)})
+        assert verify_certificate(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def naive_verdict(w: PreimageWitness) -> bool:
     """T(candidate) from the definition, mapped through the witness."""
     edges = w.candidate.sorted_edges
@@ -260,6 +274,12 @@ def test_witness_json_rejects_non_integer_map(entries):
     obj["map"] = entries
     with pytest.raises(ParseError):
         PreimageWitness.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("text", ["[]", "3", '"x"'], ids=["array", "number", "string"])
+def test_witness_json_that_is_no_object_is_refused(text):
+    with pytest.raises(ParseError, match="^bad witness JSON: the top level must be an object$"):
+        PreimageWitness.from_json(text)
 
 
 # ---------------------------------------------------------------------------

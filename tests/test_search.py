@@ -242,6 +242,18 @@ def test_open_edge_pruning_builds_only_leaves_that_verify(monkeypatch):
     assert verdicts == []
 
 
+def _counted_forms(monkeypatch) -> list:
+    """The graphs the oracle canonizes from now on, in call order."""
+    counted = []
+
+    def counting_form(g):
+        counted.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(search, "canonical_form", counting_form)
+    return counted
+
+
 @pytest.mark.parametrize("build, calls, digest", [
     (lambda: Graph(3, []), 4,
      "dcbd483348e2ed202262198723e054102ef08af4e1a42d02b173ea5d8f2555bd"),
@@ -255,20 +267,79 @@ def test_open_edge_pruning_builds_only_leaves_that_verify(monkeypatch):
 def test_oracle_canonizes_each_distinct_candidate_once(monkeypatch, build, calls, digest):
     # canonizing every verified leaf took 17 / 149 / 1,829 / 4 calls, and
     # every distinct candidate of the unpruned tree 7 / 38 / 275 / 2; the
-    # witnesses kept, and their order, are those of both versions
-    counted = []
-
-    def counting_form(g):
-        counted.append(g)
-        return canonical_form(g)
-
-    monkeypatch.setattr(search, "canonical_form", counting_form)
+    # witnesses kept, and their order, are those of both versions.  Each of
+    # these searches certifies two or more leaves, so every leaf is
+    # canonized; a search with one leaf canonizes none (below)
+    counted = _counted_forms(monkeypatch)
     found = brute_force_preimages(build())
     assert len(counted) == calls
     assert len({frozenset(g.edges) for g in counted}) == calls
     dump = json.dumps([[sorted(w.candidate.edges), sorted(w.edge_to_vertex.items())]
                        for w in found])
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
+
+
+def _seeded_images(seed: int, count: int) -> list[Graph]:
+    """T(G) of random 5-vertex graphs G, each the union of three random
+    triangles, with the target's vertices relabelled."""
+    rng = random.Random(seed)
+    images = []
+    for _ in range(count):
+        edges = set()
+        for _ in range(3):
+            a, b, c = sorted(rng.sample(range(5), 3))
+            edges |= {(a, b), (a, c), (b, c)}
+        h = triangular_line_graph(Graph(5, edges)).derived
+        perm = list(range(h.n))
+        rng.shuffle(perm)
+        images.append(Graph(h.n, [(perm[u], perm[v]) for u, v in h.sorted_edges]))
+    return images
+
+
+def _every_leaf_canonized(h: Graph) -> list:
+    """The reference for brute_force_preimages: canonize every certified
+    leaf of the class search and keep the first of each form."""
+    seen = {}
+    for w in search._certified_witnesses(h, None, classes=True):
+        seen.setdefault(canonical_form(w.candidate), w)
+    return [seen[k] for k in sorted(seen)]
+
+
+def _witness_rows(found) -> list:
+    return [(sorted(w.candidate.edges), sorted(w.edge_to_vertex.items())) for w in found]
+
+
+def test_a_search_with_one_leaf_canonizes_nothing(monkeypatch):
+    counted = _counted_forms(monkeypatch)
+    triangle = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    single = 0
+    for h in [make_bowtie().graph, triangle, *_seeded_images(5, 60)]:
+        leaves = sum(1 for _ in search._certified_witnesses(h, None, classes=True))
+        counted.clear()
+        found = brute_force_preimages(h)
+        if leaves == 1:
+            single += 1
+            assert len(found) == 1 and counted == []
+        else:
+            assert len(counted) == leaves
+    assert single >= 40
+
+
+def test_class_search_matches_canonizing_every_leaf():
+    for h in [*_seeded_images(11, 60), make_sun(7).graph,
+              *(Graph(n, []) for n in (3, 4, 5)), make_bowtie().graph]:
+        assert _witness_rows(brute_force_preimages(h)) == \
+            _witness_rows(_every_leaf_canonized(h)), h.sorted_edges
+
+
+def test_a_search_with_one_leaf_passes_the_canonical_form_cap(monkeypatch):
+    # the bowtie's one leaf has a 4-vertex candidate; the 7-sun's two
+    # leaves must still be canonized to be told apart
+    monkeypatch.setattr("trilin.graph.CANONICAL_FORM_VERTEX_CAP", 3)
+    [w] = brute_force_preimages(make_bowtie().graph)
+    assert w.candidate.n == 4 and verify_certificate(w)
+    with pytest.raises(CapacityError):
+        brute_force_preimages(make_sun(7).graph)
 
 
 def _star_key(edge_to_vertex):
