@@ -130,19 +130,17 @@ def enumerate_triangles(g: Graph) -> tuple[tuple[int, int, int], ...]:
     """All 3-cliques, each exactly once, as sorted triples in sorted order;
     enumerated on the first call and kept on g.  Read from g's sorted
     edges, the triples come out nearly sorted, so the final sort runs in
-    about linear time.  A graph with more than twice as many vertices as
-    edges has isolated ones; its greater-neighbour sets are keyed by the
-    endpoints its edges use, so memory follows the edges.  Every other
-    graph takes one set per vertex in a list, which is faster to index."""
+    about linear time.  Greater-neighbour sets are kept only for the
+    vertices that have some, so memory follows the edges, not g.n."""
     if g._triangles is None:
         edges = g.sorted_edges
-        if g.n > 2 * len(edges):
-            nbrs = {v: set() for e in edges for v in e}  # greater neighbours
-        else:
-            nbrs = [set() for _ in range(g.n)]
+        nbrs: dict[int, set[int]] = {}
         for u, v in edges:
-            nbrs[u].add(v)
-        tris = [(u, v, w) for u, v in edges for w in nbrs[v] if w in nbrs[u]]
+            if u in nbrs:
+                nbrs[u].add(v)
+            else:
+                nbrs[u] = {v}
+        tris = [(u, v, w) for u, v in edges if v in nbrs for w in nbrs[v] if w in nbrs[u]]
         tris.sort()
         g._triangles = tuple(tris)
     return g._triangles
