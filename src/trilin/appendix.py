@@ -12,28 +12,41 @@ import hashlib
 import json
 from pathlib import Path
 
-from .errors import IntegrityError
+from .errors import IntegrityError, ParseError
 from .gadgets import GadgetBlueprint, SubGadget, _clause_roles, join_clause, make_sun
-from .graph import Graph
+from .graph import Graph, _is_int, from_json_obj
 from .operators import PreimageWitness
 from .search import SQUARED_CYCLE, WHEEL, Glue, glue_plan
 
 DATA_DIR = Path(__file__).parent / "data"
 
 
-def _load_payload(name: str, appendix_dir: str | Path | None = None) -> dict:
+def _load_payload(name: str, appendix_dir: str | Path | None = None):
+    """The JSON value in data file `name`, once its checksum matches."""
     base = Path(appendix_dir) if appendix_dir else DATA_DIR
-    path = base / name
     try:
-        payload = path.read_bytes()
+        payload = (base / name).read_bytes()
         checks = json.loads((base / "checksums.json").read_text())
     except OSError as exc:
         raise IntegrityError(f"cannot read appendix data: {exc}")
-    want = checks.get(name)
+    except (ValueError, RecursionError) as exc:
+        raise IntegrityError(f"checksums.json is not JSON: {exc}")
+    want = checks.get(name) if isinstance(checks, dict) else None
     got = hashlib.sha256(payload).hexdigest()
     if want != got:
         raise IntegrityError(f"checksum mismatch for {name}: {got} != {want}")
-    return json.loads(payload)
+    try:
+        return json.loads(payload)
+    except (ValueError, RecursionError) as exc:
+        raise IntegrityError(f"{name} is not JSON: {exc}")
+
+
+def _graph_of(obj, key: str, name: str) -> Graph:
+    """The graph under `key` of data file `name`'s top-level object."""
+    try:
+        return from_json_obj(obj.get(key) if isinstance(obj, dict) else None)
+    except ParseError as exc:
+        raise IntegrityError(f"{name}: {key}: {exc}")
 
 
 def _leg_of(label_part: str) -> tuple[int, int]:
@@ -43,20 +56,23 @@ def _leg_of(label_part: str) -> tuple[int, int]:
 
 def load_appendix_clause_gadget(appendix_dir: str | Path | None = None) -> GadgetBlueprint:
     """The 63-vertex clause gadget, with each constituent 12-sun registered."""
-    obj = _load_payload("clause_gadget.json", appendix_dir)
-    gobj = obj["graph"]
-    g = Graph(gobj["n"], [tuple(e) for e in gobj["edges"]],
-              {int(k): v for k, v in gobj["labels"].items()})
+    name = "clause_gadget.json"
+    g = _graph_of(_load_payload(name, appendix_dir), "graph", name)
+    if len(g.labels or ()) != g.n:
+        raise IntegrityError(f"{name}: every clause gadget vertex needs a label")
     subs = {}
     for ell in (1, 2, 3):
         slots: dict[int, int] = {}
         for v in range(g.n):
             for part in g.labels[v].split("="):
-                leg, idx = _leg_of(part)
+                try:
+                    leg, idx = _leg_of(part)
+                except ValueError:
+                    raise IntegrityError(f"{name}: label part {part!r} is not S<leg>:<index>")
                 if leg == ell:
                     slots[idx] = v
         if sorted(slots) != list(range(24)):
-            raise IntegrityError(f"clause gadget leg {ell} has wrong label set")
+            raise IntegrityError(f"{name}: clause gadget leg {ell} has wrong label set")
         cycle = tuple(slots[2 * p] for p in range(12))
         apex = tuple(slots[2 * p + 1] for p in range(12))
         subs[f"S{ell}"] = SubGadget(
@@ -73,13 +89,18 @@ def load_appendix_preimage(wheels: int,
         raise ValueError(f"wheels must be 0, 1, or 2, got {wheels}")
     target = load_appendix_clause_gadget(appendix_dir).graph
     by_label = {lab: v for v, lab in target.labels.items()}
-    obj = _load_payload(f"preimage_{wheels}wheels.json", appendix_dir)
-    cand = Graph(obj["candidate"]["n"],
-                 [(e[0], e[1]) for e in obj["candidate"]["edges"]])
+    name = f"preimage_{wheels}wheels.json"
+    obj = _load_payload(name, appendix_dir)
+    cand = _graph_of(obj, "candidate", name)
+    rows = obj.get("map")
+    if not isinstance(rows, list) or not all(
+            isinstance(r, list) and len(r) == 3 and _is_int(r[0]) and _is_int(r[1])
+            and isinstance(r[2], str) for r in rows):
+        raise IntegrityError(f"{name}: map rows must be [int, int, label] triples")
     try:
-        mapping = {(u, v): by_label[lab] for u, v, lab in obj["map"]}
+        mapping = {(u, v): by_label[lab] for u, v, lab in rows}
     except KeyError as exc:
-        raise IntegrityError(f"preimage map references unknown label {exc}")
+        raise IntegrityError(f"{name}: preimage map references unknown label {exc}")
     return PreimageWitness(target, cand, mapping)
 
 

@@ -509,33 +509,6 @@ class Glue:
         return PreimageWitness(self.target, Graph(len(vid), mapping), mapping)
 
 
-def unit_parts(sg: SubGadget, kind: str, offset: int = 0) -> tuple[dict, list]:
-    """A sun unit's template of one kind, with its atoms numbered from
-    `offset`: (edges, corners), edges mapping each target vertex to its
-    atom pair, corners listing each triangle of the unit as (key, {t: atom
-    opposite t}).  A wheel (rim 0..k-1, hub k) maps cycle vertex p to the
-    spoke (p, k) and apex p to the rim edge (p, p+1); a squared cycle
-    (0..k-1) maps them to (p, p+1) and the chord (p, p+2).  The unit's
-    triangle p = (c_p, a_p, c_p+1) then has the atoms (p+1, hub, p)
-    opposite its vertices in the wheel and (p+2, p+1, p) in the squared
-    cycle.  `_Plan.part` calls it once per unit and kind, when the search
-    first asks for that kind."""
-    cycle, apex = sg.roles["cycle"], sg.roles["apex"]
-    k = len(cycle)
-    x0 = list(range(offset, offset + k))  # atom p, then p+1 and p+2 mod k
-    x1, x2, hub = x0[1:] + x0[:1], x0[2:] + x0[:2], offset + k
-    edges, corners = {}, []
-    for c, a, c1, p, p1, p2 in zip(cycle, apex, cycle[1:] + cycle[:1], x0, x1, x2):
-        key = frozenset((c, a, c1))
-        if kind == WHEEL:
-            edges[c], edges[a] = (p, hub), (p, p1)
-            corners.append((key, {c: p1, a: hub, c1: p}))
-        else:
-            edges[c], edges[a] = (p, p1), (p, p2)
-            corners.append((key, {c: p2, a: p1, c1: p}))
-    return edges, corners
-
-
 class _Part:
     """One unit's template of one kind, compiled for `Glue.add` against
     the units before it in its plan: the atoms [lo, hi) its edges use and
@@ -543,42 +516,55 @@ class _Part:
     (`own`) and the identifications (atom, key, t) with the corners of the
     triangles an earlier unit holds (`shared`); the (t, atom pair) edges of
     the target vertices it places first (`placing`) and of those placed
-    before (`pending`).  A vertex of a shared triangle is left out of
-    `pending`: identifying the triangle's corners merges its copy, whose
-    ends are the corners opposite the triangle's other two vertices, into
-    the earlier unit's copy, already merged into the placed edge, so `ways`
-    would find no way to try."""
+    before (`pending`).
+
+    `triangles` are the unit's (c_p, a_p, c_p+1, key) in cycle order, and
+    its atoms run from `lo`.  A wheel (rim p = 0..k-1, hub k) maps cycle
+    vertex c_p to the spoke (p, k) and apex a_p to the rim edge (p, p+1); a
+    squared cycle (0..k-1, no hub) maps them to (p, p+1) and the chord
+    (p, p+2).  Triangle p then has the atoms (p+1, hub, p) opposite its
+    vertices in the wheel and (p+2, p+1, p) in the squared cycle.  A vertex
+    of a shared triangle (c_p lies in triangles p-1 and p, a_p in p) is
+    left out of `pending`: identifying the triangle's corners merges its
+    copy, whose ends are the corners opposite the triangle's other two
+    vertices, into the earlier unit's copy, already merged into the placed
+    edge, so `ways` would find no way to try."""
 
     __slots__ = ("lo", "hi", "nbrs", "own", "shared", "placing", "pending")
 
-    def __init__(self, edges: dict, corners: list, lo: int, hi: int,
+    def __init__(self, kind: str, triangles: list, lo: int,
                  old_keys: set, old_vertices: set):
-        self.lo, self.hi = lo, hi
-        nbrs = [{} for _ in range(lo, hi)]
-        for t, (a, b) in edges.items():
-            nbrs[a - lo][b] = t
-            nbrs[b - lo][a] = t
-        self.nbrs = nbrs
-        own, shared, own_keys, settled = [], [], set(), set()
-        for key, mine in corners:
-            if key in old_keys:
-                settled |= key
-            if key in old_keys or key in own_keys:
-                shared += [(x, key, t) for t, x in mine.items()]
+        k = len(triangles)
+        hub = lo + k
+        self.lo, self.hi = lo, hub + (kind == WHEEL)
+        self.nbrs = nbrs = [{} for _ in range(self.hi - lo)]
+        self.own, self.shared, self.placing, self.pending = [], [], [], []
+        for p, (c, a, c1, key) in enumerate(triangles):
+            x, x1, x2 = lo + p, lo + (p + 1) % k, lo + (p + 2) % k
+            if kind == WHEEL:
+                edges, mine = ((c, x, hub), (a, x, x1)), {c: x1, a: hub, c1: x}
             else:
-                own.append((key, mine))
-                own_keys.add(key)
-        self.own, self.shared = own, shared
-        self.placing = [(t, pair) for t, pair in edges.items() if t not in old_vertices]
-        self.pending = [(t, pair) for t, pair in edges.items()
-                        if t in old_vertices and t not in settled]
+                edges, mine = ((c, x, x1), (a, x, x2)), {c: x2, a: x1, c1: x}
+            shared = key in old_keys
+            if shared:
+                self.shared += [(y, key, t) for t, y in mine.items()]
+            else:
+                self.own.append((key, mine))
+            settled = (shared or triangles[p - 1][3] in old_keys, shared)
+            for (t, u, v), done in zip(edges, settled):
+                nbrs[u - lo][v] = nbrs[v - lo][u] = t
+                if t not in old_vertices:
+                    self.placing.append((t, (u, v)))
+                elif not done:
+                    self.pending.append((t, (u, v)))
 
 
 class _Plan:
     """A blueprint's glue plan, free of pins, for any number of solves:
-    its units in a greedy fail-first order, the first atom of each, and
-    each unit's template parts, built when the search first asks for them
-    and kept.
+    its units in a greedy fail-first order and, per unit, its triangles,
+    its first atom (k + 1 atoms each, the hub last), the triangles and
+    vertices that units before it hold, and its `_Part` of each kind,
+    built when the search first asks for it and kept.
 
     Raises StructureError unless every vertex and every triangle of the
     blueprint lies inside some unit: the glue places only unit vertices.
@@ -639,39 +625,29 @@ class _Plan:
                 touched ^= low
                 j = low.bit_length() - 1
                 heapq.heappush(heap, -overlap[j] * m + rank[j])
-        self.order = order
         self.names = [name for name, _ in order]
-        self.offsets = []
+        # per unit: its triangles, its first atom, the triangles and
+        # vertices that earlier units hold, and its parts by kind
+        self._units: list[tuple[list, int, set, set, dict]] = []
         self.atoms = 0
+        keys, vertices = set(), set()
         for _, sg in order:
-            self.offsets.append(self.atoms)
-            self.atoms += len(sg.roles["cycle"]) + 1
-        # per unit reached: its parts by kind, and its triangles and
-        # vertices that units before it hold
-        self._reached: list[tuple[dict, set, set]] = []
-        self._keys: set = set()
-        self._vertices: set = set()
+            cycle = sg.roles["cycle"]
+            triangles = [(c, a, c1, frozenset((c, a, c1))) for c, a, c1 in zip(
+                cycle, sg.roles["apex"], cycle[1:] + cycle[:1])]
+            held = {tri[3] for tri in triangles}
+            self._units.append((triangles, self.atoms, held & keys,
+                                vertices.intersection(sg.vertices), {}))
+            keys |= held
+            vertices.update(sg.vertices)
+            self.atoms += len(triangles) + 1  # the rim, then the hub
 
     def part(self, i: int, kind: str) -> _Part:
         """Unit i's template of `kind` as a `_Part`, built on first use."""
-        reached = self._reached
-        while len(reached) <= i:
-            _, sg = self.order[len(reached)]
-            cycle = sg.roles["cycle"]
-            keys = {frozenset(tri) for tri in zip(
-                cycle, sg.roles["apex"], cycle[1:] + cycle[:1])}
-            reached.append(({}, keys & self._keys, self._vertices.intersection(sg.vertices)))
-            self._keys |= keys
-            self._vertices.update(sg.vertices)
-        parts, keys, vertices = reached[i]
-        found = parts.get(kind)
-        if found is None:
-            _, sg = self.order[i]
-            lo = self.offsets[i]
-            hi = lo + len(sg.roles["cycle"]) + (kind == WHEEL)  # the hub
-            found = parts[kind] = _Part(*unit_parts(sg, kind, lo), lo, hi,
-                                        keys, vertices)
-        return found
+        triangles, lo, keys, vertices, parts = self._units[i]
+        if kind not in parts:
+            parts[kind] = _Part(kind, triangles, lo, keys, vertices)
+        return parts[kind]
 
     def kinds(self, pin: dict[str, str]) -> list[tuple]:
         """The kinds each unit tries, in plan order: its pinned kind, or
@@ -690,13 +666,6 @@ class _Plan:
 def glue_plan(bp: GadgetBlueprint) -> _Plan:
     """The glue plan of bp's sun units, for `glue_templates` to reuse."""
     return _Plan(bp, sun_units(bp))
-
-
-def _verifies(w: PreimageWitness) -> bool:
-    """verify_certificate on a glued witness, false where the glue put two
-    target vertices on one candidate edge (as the 4-sun's squared template
-    puts two apexes on one chord), an edge map verify_certificate refuses."""
-    return len(w.edge_to_vertex) == w.target.n and verify_certificate(w)
 
 
 def _glue_search(plan: _Plan, kinds: list, budget: _Budget, stuck: list):
@@ -744,6 +713,25 @@ def _glue_search(plan: _Plan, kinds: list, budget: _Budget, stuck: list):
             yield choices, glue
 
 
+def _verified_glues(plan: _Plan, kinds: list, budget: _Budget, stuck: list):
+    """Yields a TemplateAssignment for the first glue of each choice
+    vector whose witness verifies, in `_glue_search` order.  A complete glue that
+    does not verify marks `stuck` deeper than any unit; the glue can put two
+    target vertices on one candidate edge (as the 4-sun's squared template
+    puts two apexes on one chord), an edge map verify_certificate refuses."""
+    found = set()
+    for choices, glue in _glue_search(plan, kinds, budget, stuck):
+        key = tuple(sorted(choices.items()))
+        if key in found:
+            continue
+        w = glue.witness()
+        if len(w.edge_to_vertex) == w.target.n and verify_certificate(w):
+            found.add(key)
+            yield TemplateAssignment(dict(choices), w)
+        else:
+            stuck[:] = (len(kinds), None, None, None)
+
+
 def template_solve(bp: GadgetBlueprint,
                    limits: SearchLimits | None = None,
                    pin: dict[str, str] | None = None,
@@ -754,7 +742,8 @@ def template_solve(bp: GadgetBlueprint,
     oracle leaves on its 2 vectors).
 
     `_glue_search` prunes a prefix as soon as its glue fails in a way no
-    later unit can repair; each complete glue is kept when it verifies.
+    later unit can repair; `_verified_glues` keeps each vector's first
+    complete glue that verifies.
 
     pin fixes the choice of named units (others stay free; `_Plan.kinds`
     checks it); max_results, at least 1, stops the enumeration early;
@@ -763,24 +752,15 @@ def template_solve(bp: GadgetBlueprint,
     if max_results is not None and max_results < 1:
         raise StructureError(f"max_results must be at least 1, got {max_results!r}")
     plan = glue_plan(bp)
-    kinds = plan.kinds(pin or {})
-    results: dict[tuple, TemplateAssignment] = {}
-    for choices, glue in _glue_search(plan, kinds, _Budget(limits), []):
-        key = tuple(sorted(choices.items()))
-        if key in results:
-            continue
-        w = glue.witness()
-        if _verifies(w):
-            results[key] = TemplateAssignment(dict(choices), w)
-            if max_results is not None and len(results) >= max_results:
-                break
-    return [results[k] for k in sorted(results)]
+    glues = _verified_glues(plan, plan.kinds(pin or {}), _Budget(limits), [])
+    found = list(islice(glues, max_results))
+    return sorted(found, key=lambda a: sorted(a.choices.items()))
 
 
 def glue_templates(plan: _Plan, choices: dict[str, str],
                    budget: _Budget | None = None) -> PreimageWitness:
-    """Materialize one choice vector: the first verified glue of the search
-    behind `template_solve` with every unit pinned to its choice.
+    """Materialize one choice vector: the first glue `_verified_glues`
+    yields with every unit pinned to its choice.
 
     `plan` is the blueprint's `glue_plan`, which one blueprint glued for
     several vectors reuses (`reduction.decide`).  `choices` must name every
@@ -797,11 +777,8 @@ def glue_templates(plan: _Plan, choices: dict[str, str],
         raise StructureError(f"no choice for units {missing[:3]} "
                              f"({len(missing)} in all)")
     stuck: list = []
-    for _, glue in _glue_search(plan, kinds, budget or _Budget(), stuck):
-        w = glue.witness()
-        if _verifies(w):
-            return w
-        stuck[:] = (len(kinds), None, None, None)  # deeper than any unit
+    for found in _verified_glues(plan, kinds, budget or _Budget(), stuck):
+        return found.witness
     _, name, kind, failure = stuck
     raise GlueError(f"gluing the {kind} template of {name} makes {failure}" if name
                     else "the glued candidate does not verify")

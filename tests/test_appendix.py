@@ -85,6 +85,7 @@ def test_checksum_tamper_detected(tmp_path: Path):
         load_appendix_clause_gadget(alt)
 
 
+# each tamper edits a data file's payload in place, or returns a new one
 def _relabel_vertex_0(payload):
     payload["graph"]["labels"]["0"] = "S1:99"
 
@@ -93,23 +94,92 @@ def _map_to_unknown_label(payload):
     payload["map"][0][2] = "S9:0"
 
 
+def _graph_without_edges(payload):
+    return {"graph": {"n": 2}}
+
+
+def _drop_labels(payload):
+    del payload["graph"]["labels"]
+
+
+def _drop_graph(payload):
+    del payload["graph"]
+
+
+def _drop_n(payload):
+    del payload["graph"]["n"]
+
+
+def _edge_out_of_range(payload):
+    payload["graph"]["edges"][0] = [0, 63]
+
+
+def _unlabel_vertex_0(payload):
+    del payload["graph"]["labels"]["0"]
+
+
+def _label_without_index(payload):
+    payload["graph"]["labels"]["0"] = "S1"
+
+
+def _top_level_list(payload):
+    return [payload]
+
+
+def _two_item_map_row(payload):
+    del payload["map"][0][2]
+
+
+def _map_row_of_a_string(payload):
+    payload["map"][0] = "S1:0"
+
+
+def _candidate_loop(payload):
+    payload["candidate"]["edges"][0] = [0, 0]
+
+
 @pytest.mark.parametrize("name, tamper, message", [
     ("clause_gadget.json", _relabel_vertex_0, "wrong label set"),
     ("preimage_0wheels.json", _map_to_unknown_label, "unknown label"),
+    ("clause_gadget.json", _graph_without_edges, "edges must be pairs of integers"),
+    ("clause_gadget.json", _drop_labels, "every clause gadget vertex needs a label"),
+    ("clause_gadget.json", _drop_graph, "n must be an integer"),
+    ("clause_gadget.json", _drop_n, "n must be an integer"),
+    ("clause_gadget.json", _edge_out_of_range, r"edge \(0,63\) out of range"),
+    ("clause_gadget.json", _unlabel_vertex_0, "every clause gadget vertex needs a label"),
+    ("clause_gadget.json", _label_without_index, "'S1' is not S<leg>:<index>"),
+    ("clause_gadget.json", _top_level_list, "graph: bad graph JSON: n must be an integer"),
+    ("preimage_0wheels.json", _two_item_map_row, r"map rows must be \[int, int, label\]"),
+    ("preimage_0wheels.json", _map_row_of_a_string, r"map rows must be \[int, int, label\]"),
+    ("preimage_0wheels.json", _candidate_loop, "candidate: loop at vertex 0"),
 ])
 def test_tampered_data_with_matching_checksums_is_rejected(tmp_path: Path, name,
                                                           tamper, message):
-    # the checksum is recomputed, so only the schema checks can catch it
+    # the checksum is recomputed, so only the schema checks can catch it,
+    # and the error names the file
     alt = tmp_path / "data"
     shutil.copytree(DATA_DIR, alt)
     payload = json.loads((alt / name).read_text())
-    tamper(payload)
+    payload = tamper(payload) or payload
     (alt / name).write_text(json.dumps(payload))
     checks = json.loads((alt / "checksums.json").read_text())
     checks[name] = hashlib.sha256((alt / name).read_bytes()).hexdigest()
     (alt / "checksums.json").write_text(json.dumps(checks))
-    with pytest.raises(IntegrityError, match=message):
+    with pytest.raises(IntegrityError, match=message) as exc:
         load_appendix_preimage(0, alt)
+    assert str(exc.value).startswith(f"{name}: ")
+
+
+@pytest.mark.parametrize("checks, message", [
+    ("not json", "checksums.json is not JSON"),
+    ("[]", "checksum mismatch for clause_gadget.json"),
+])
+def test_malformed_checksums_are_rejected(tmp_path: Path, checks, message):
+    alt = tmp_path / "data"
+    shutil.copytree(DATA_DIR, alt)
+    (alt / "checksums.json").write_text(checks)
+    with pytest.raises(IntegrityError, match=message):
+        load_appendix_clause_gadget(alt)
 
 
 def test_missing_data_dir_reports_integrity(tmp_path: Path):

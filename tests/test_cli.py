@@ -90,6 +90,23 @@ def test_gadget_build_appendix_clause():
     assert json.loads(res.stdout)["graph"]["n"] == 63
 
 
+@pytest.mark.parametrize("text, why", [
+    ('{"graph": {"n": 2}}', "graph: bad graph JSON: edges must be pairs of integers"),
+    ("not json", "is not JSON: Expecting value: line 1 column 1 (char 0)"),
+])
+def test_gadget_build_appendix_clause_names_the_malformed_file(monkeypatch, capsys,
+                                                                 tmp_path, text, why):
+    # the checksum matches, so the data file's shape is what is wrong
+    (tmp_path / "clause_gadget.json").write_text(text)
+    (tmp_path / "checksums.json").write_text(json.dumps(
+        {"clause_gadget.json": hashlib.sha256(text.encode()).hexdigest()}))
+    code, out, err = invoke(monkeypatch, capsys, "gadget", "build", "appendix-clause",
+                            "--appendix-dir", str(tmp_path))
+    assert (code, out) == (4, "")
+    assert err.startswith("error: clause_gadget.json") and err.rstrip().endswith(why)
+    assert "internal error" not in err
+
+
 def test_preimage_solve_positive(tmp_path):
     target = tmp_path / "bowtie.json"
     target.write_text(json.dumps(

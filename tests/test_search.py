@@ -30,6 +30,7 @@ from trilin.gadgets import (
     make_bowtie,
     make_squared_cycle,
     make_sun,
+    make_variable_cluster,
     make_wheel,
     make_wire,
 )
@@ -39,6 +40,7 @@ from trilin.operators import (
     triangular_line_graph,
     verify_certificate,
 )
+from trilin.reduction import compile_formula, parse_dimacs
 from trilin.search import (
     SQUARED_CYCLE,
     WHEEL,
@@ -632,16 +634,54 @@ def test_unit_corners_are_the_atoms_the_other_edges_share(k):
     # Glue.add identifies these corners across parts, so each must be the
     # one atom the edges of its triangle's other two vertices share
     sun = make_sun(k)
-    [(_, unit)] = search.sun_units(sun)
     triangles = {frozenset(tri) for tri in enumerate_triangles(sun.graph)}
     for kind in (WHEEL, SQUARED_CYCLE):
-        edges, corners = search.unit_parts(unit, kind)
-        assert {key for key, _ in corners} == triangles
-        for key, opposite in corners:
+        part = glue_plan(sun).part(0, kind)
+        edges = dict(part.placing)
+        assert {key for key, _ in part.own} == triangles
+        for key, opposite in part.own:
             assert set(opposite) == key
             for t, atom in opposite.items():
                 u, v = key - {t}
                 assert set(edges[u]) & set(edges[v]) == {atom}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_wire(3),
+    lambda: make_binary_enforced_sun(12),
+    lambda: make_binary_enforced_sun(16),
+    lambda: make_variable_cluster(0, 1),
+    lambda: join_clause(make_sun(12), make_sun(12), make_sun(12)),
+    lambda: compile_formula(parse_dimacs("p cnf 3 1\n1 2 3 0\n"), 16).blueprint,
+], ids=["wire3", "enforced12", "enforced16", "cluster", "clause", "formula"])
+def test_parts_match_the_units_taken_before_them(build):
+    # each part against its unit's roles and the units before it in plan
+    # order, accumulated here
+    bp = build()
+    plan = glue_plan(bp)
+    units = dict(search.sun_units(bp))
+    held_triangles, held_vertices = set(), set()
+    for i, name in enumerate(plan.names):
+        unit = units[name]
+        cycle, apex = unit.roles["cycle"], unit.roles["apex"]
+        triangles = {frozenset((cycle[p], apex[p], cycle[(p + 1) % len(cycle)]))
+                     for p in range(len(cycle))}
+        for kind in (WHEEL, SQUARED_CYCLE):
+            part = plan.part(i, kind)
+            own = {key for key, _ in part.own}
+            shared = {key for _, key, _ in part.shared}
+            assert own | shared == triangles and not own & shared
+            assert shared == triangles & held_triangles
+            assert {t for t, _ in part.placing} == set(unit.vertices) - held_vertices
+            settled = set().union(*shared)
+            assert all(t in held_vertices - settled for t, _ in part.pending)
+            assert part.hi - part.lo == len(cycle) + (kind == WHEEL)
+            atoms = [x for _, pair in part.placing + part.pending for x in pair]
+            atoms += [x for _, mine in part.own for x in mine.values()]
+            atoms += [x for x, _, _ in part.shared]
+            assert all(part.lo <= x < part.hi for x in atoms)
+        held_triangles |= triangles
+        held_vertices.update(unit.vertices)
 
 
 def test_template_solve_agrees_with_oracle_on_7sun():
