@@ -11,7 +11,8 @@ The enforcement size k is `enforce` (default 12, the paper's construction).
 At k = 12 the enforced sun admits only the all-wheel preimage (see
 template_solve on make_binary_enforced_sun(12)), so the squared-cycle side
 of a tap cannot be materialized.  The tap check glues every unit of the
-enforced sun as a squared cycle; where that fails, witness_from_assignment
+enforced sun as a squared cycle, on a glue plan built once per size per
+process (`_tap_plan`); where that fails, witness_from_assignment
 raises a CertificateError naming the tap, and decide() reports UNSAT for
 every formula, with the failed glue as its reason, without compiling it or
 enumerating assignments.  SOUND_ENFORCE = 16 is the smallest size at
@@ -21,6 +22,7 @@ glues into a verified preimage, and decide() agrees with the truth table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -46,6 +48,7 @@ from .search import (
     WHEEL,
     SearchLimits,
     _Budget,
+    _Plan,
     glue_plan,
     glue_templates,
 )
@@ -208,12 +211,22 @@ def _pins(names: list[str], assignment: tuple[bool, ...]) -> dict[str, str]:
     return pins
 
 
+@functools.cache
+def _tap_plan(k: int) -> _Plan:
+    """The enforced k-sun's glue plan, built once per size per process.
+    Only the plan is kept, never an answer: a `_Plan` holds no pin and no
+    budget, its parts are only read once built, and each glue keeps its
+    search state in its own `Glue`."""
+    return glue_plan(make_binary_enforced_sun(k))
+
+
 def _cycle_tap_failure(k: int, budget: _Budget) -> str | None:
     """Why the enforced k-sun has no squared-cycle-side preimage, or None
-    when it has one: the glue of every unit as a squared cycle, built under
-    the caller's budget.  Every assignment needs one: with m >= 1 clauses
-    each variable has squared-cycle taps of one parity."""
-    plan = glue_plan(make_binary_enforced_sun(k))
+    when it has one: the glue of every unit of `_tap_plan(k)` as a squared
+    cycle, searched under the caller's budget on every call.  Every
+    assignment needs one: with m >= 1 clauses each variable has
+    squared-cycle taps of one parity."""
+    plan = _tap_plan(k)
     try:
         glue_templates(plan, dict.fromkeys(plan.names, SQUARED_CYCLE), budget)
     except GlueError as exc:

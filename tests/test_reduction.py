@@ -387,24 +387,62 @@ def test_decide_tries_the_next_assignment_after_a_failed_glue(
 
 
 def test_decide_plans_the_compiled_graph_once(monkeypatch):
-    # one glue plan for the tap check and one for the compiled graph, which
-    # each of the 7 satisfying assignments at size 13 re-pins
+    # the first decision at size 13 plans the tap check's enforced sun and
+    # the compiled graph, which each of the 7 satisfying assignments
+    # re-pins; a second decision plans only its compiled graph
+    reduction._tap_plan.cache_clear()
     plans = []
     init = search._Plan.__init__
     monkeypatch.setattr(search._Plan, "__init__",
                         lambda self, *args: (plans.append(1), init(self, *args))[1])
-    res = decide(parse_dimacs(SINGLE), enforce=13)
-    assert res.status == "UNSAT"
-    assert len(plans) == 2
+    for built in (2, 1):
+        plans.clear()
+        res = decide(parse_dimacs(SINGLE), enforce=13)
+        assert res.status == "UNSAT"
+        assert len(plans) == built
 
 
-def test_decide_tap_check_ticks_the_decision_budget(monkeypatch):
-    # the enforced 16-sun's check needs 17 nodes, so a budget of 5 stops it
+def _counted_ticks(monkeypatch) -> list:
     ticks = []
     tick = _Budget.tick
     monkeypatch.setattr(_Budget, "tick", lambda self: (ticks.append(1), tick(self)))
-    res = decide(parse_dimacs(SINGLE), SearchLimits(node_budget=5), enforce=16)
-    assert res.status == "UNKNOWN" and len(ticks) <= 6
+    return ticks
+
+
+def test_decide_tap_check_ticks_the_decision_budget(monkeypatch):
+    # the enforced 16-sun's check needs 17 nodes, so a budget of 5 stops it,
+    # on the plan the first call builds and on the kept one alike
+    reduction._tap_plan.cache_clear()
+    ticks = _counted_ticks(monkeypatch)
+    for _ in range(2):
+        ticks.clear()
+        res = decide(parse_dimacs(SINGLE), SearchLimits(node_budget=5), enforce=16)
+        assert res.status == "UNKNOWN" and len(ticks) <= 6
+
+
+@pytest.mark.parametrize("k, nodes", [(12, 7), (13, 14), (16, 17)])
+def test_tap_check_is_the_same_on_a_cold_and_a_warm_plan(monkeypatch, k, nodes):
+    # the plan is kept per size, never the answer: a check on the kept plan
+    # searches again, under its own budget, with the same nodes and result
+    ticks = _counted_ticks(monkeypatch)
+    reduction._tap_plan.cache_clear()
+    runs = []
+    for _ in range(2):
+        ticks.clear()
+        runs.append((reduction._cycle_tap_failure(k, _Budget(SearchLimits())),
+                     len(ticks)))
+    assert runs[0] == runs[1]
+    failure, spent = runs[0]
+    assert spent == nodes and (failure is None) == (k != 12)
+    assert reduction._tap_plan(k) is reduction._tap_plan(k)
+
+
+def test_witness_is_the_same_on_a_cold_and_a_warm_plan():
+    r = compile_formula(parse_dimacs(SINGLE), enforce=16)
+    reduction._tap_plan.cache_clear()
+    cold = witness_from_assignment(r, (True, False, False)).to_json()
+    warm = witness_from_assignment(r, (True, False, False)).to_json()
+    assert cold == warm
 
 
 def test_decide_skips_the_loop_when_no_tap_materializes(monkeypatch):

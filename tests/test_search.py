@@ -684,6 +684,25 @@ def test_parts_match_the_units_taken_before_them(build):
         held_vertices.update(unit.vertices)
 
 
+@pytest.mark.parametrize("step, failure", [
+    (1, "a loop"),                            # rim atoms joined by apex a_0's edge
+    (2, "two target vertices on one edge"),   # both joined to rim atom lo + 1
+])
+def test_union_reports_its_failure_and_rollback_undoes_it(step, failure):
+    # the 7-wheel's rim atoms lo..lo+6 and hub lo+7: lo and lo+1 are one
+    # edge's ends, and lo and lo+2 reach lo+1 along a_0's and a_1's edges
+    plan = glue_plan(make_sun(7))
+    glue = search.Glue(plan)
+    part = plan.part(0, WHEEL)
+    assert glue.add(part) is None
+    before = (list(glue.parent), list(glue.size), [n and dict(n) for n in glue.nbr])
+    mark = glue.mark()
+    assert glue.union(part.lo, part.lo + step) == failure
+    assert glue.find(part.lo) == glue.find(part.lo + step)
+    glue.rollback(mark)
+    assert (glue.parent, glue.size, glue.nbr) == before
+
+
 def test_template_solve_agrees_with_oracle_on_7sun():
     solved = {canonical_form(a.witness.candidate)
               for a in template_solve(designate_attachments(make_sun(7)))}
