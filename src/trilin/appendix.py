@@ -85,7 +85,7 @@ def load_appendix_clause_gadget(appendix_dir: str | Path | None = None) -> Gadge
 def load_appendix_preimage(wheels: int,
                            appendix_dir: str | Path | None = None) -> PreimageWitness:
     """Certified clause-gadget preimage with the given number of wheel legs."""
-    if wheels not in (0, 1, 2):
+    if not _is_int(wheels) or wheels not in (0, 1, 2):
         raise ValueError(f"wheels must be 0, 1, or 2, got {wheels}")
     target = load_appendix_clause_gadget(appendix_dir).graph
     by_label = {lab: v for v, lab in target.labels.items()}

@@ -458,9 +458,8 @@ def make_binary_enforced_sun(k: int) -> GadgetBlueprint:
     edges, names, roles = _sun_parts(k)
     cycle, apex = roles["cycle"], roles["apex"]
     cycle2, apex2 = cycle * 2, apex * 2  # index i + d wraps around
-    chains = range(2 * k, 7 * k, 5)
-    for i, w1 in enumerate(chains):
-        w2, p1, p2, p3 = w1 + 1, w1 + 2, w1 + 3, w1 + 4
+    chains = [tuple(range(w1, w1 + 5)) for w1 in range(2 * k, 7 * k, 5)]
+    for i, (w1, w2, p1, p2, p3) in enumerate(chains):
         ci, ci4 = cycle[i], cycle2[i + 4]
         edges += [
             (ci4, w1), (w1, w2), (w2, ci),
@@ -472,8 +471,7 @@ def make_binary_enforced_sun(k: int) -> GadgetBlueprint:
     g = Graph(7 * k, edges, dict(enumerate(names)))
 
     subs: dict[str, SubGadget] = {}
-    for i, w1 in enumerate(chains):
-        w2, p1, p2, p3 = w1 + 1, w1 + 2, w1 + 3, w1 + 4
+    for i, (w1, w2, p1, p2, p3) in enumerate(chains):
         cyc7 = cycle2[i:i + 5] + (w1, w2)
         apx7 = apex2[i:i + 4] + (p1, p2, p3)
         subs[f"emb{i}"] = SubGadget(

@@ -445,12 +445,14 @@ def parse_json(text: str) -> Graph:
 
 
 def to_dot(g: Graph) -> str:
-    """DOT export for inspection; not re-parsed."""
+    """DOT export for inspection; not re-parsed.  Labels are escaped."""
     lines = ["graph G {"]
     for v in range(g.n):
         label = g.labels.get(v) if g.labels else None
         if label is not None:
-            lines.append(f'  {v} [label="{label}"];')
+            text = (str(label).replace("\\", "\\\\").replace('"', '\\"')
+                    .replace("\n", "\\n"))
+            lines.append(f'  {v} [label="{text}"];')
         else:
             lines.append(f"  {v};")
     for u, v in g.sorted_edges:

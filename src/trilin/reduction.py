@@ -234,19 +234,18 @@ def _cycle_tap_failure(k: int, budget: _Budget) -> str | None:
     return None
 
 
-def witness_from_assignment(r: ReductionOutput, assignment: tuple[bool, ...],
-                            limits: SearchLimits | None = None) -> PreimageWitness:
+def witness_from_assignment(r: ReductionOutput,
+                            assignment: tuple[bool, ...]) -> PreimageWitness:
     """Materialize the preimage prescribed by a satisfying assignment: glue
     the template each unit is prescribed and verify the result.
 
     Raises UnsatisfyingAssignmentError when a clause is false, and
     CertificateError when the prescribed template choices admit no actual
-    preimage (which at tap size 12 affects every squared-cycle tap).
-    `limits` bounds the tap check and the glue together."""
+    preimage (which at tap size 12 affects every squared-cycle tap)."""
     bad = violated_clause(r.formula, assignment)
     if bad is not None:
         raise UnsatisfyingAssignmentError(bad)
-    budget = _Budget(limits)
+    budget = _Budget()
     k = r.enforce
     if _cycle_tap_failure(k, budget) is not None:
         taps = [name for name in r.blueprint.sub_gadgets if name.endswith(f"/sun{k}")]

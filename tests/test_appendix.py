@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,8 +74,10 @@ def test_stored_preimage_restrictions_match_templates():
 
 
 def test_load_rejects_bad_wheel_count():
-    with pytest.raises(ValueError):
-        load_appendix_preimage(3)
+    # True and 1.0 equal 1 but would name no data file
+    for wheels in (3, True, 1.0):
+        with pytest.raises(ValueError, match="wheels must be 0, 1, or 2"):
+            load_appendix_preimage(wheels)
 
 
 def test_checksum_tamper_detected(tmp_path: Path):
@@ -157,6 +162,15 @@ def test_tampered_data_with_matching_checksums_is_rejected(tmp_path: Path, name,
                                                           tamper, message):
     # the checksum is recomputed, so only the schema checks can catch it,
     # and the error names the file
+    alt = _tampered_copy(tmp_path, name, tamper)
+    with pytest.raises(IntegrityError, match=message) as exc:
+        load_appendix_preimage(0, alt)
+    assert str(exc.value).startswith(f"{name}: ")
+
+
+def _tampered_copy(tmp_path: Path, name: str, tamper) -> Path:
+    """A copy of the data directory whose file `name` is tampered with,
+    its checksum recomputed."""
     alt = tmp_path / "data"
     shutil.copytree(DATA_DIR, alt)
     payload = json.loads((alt / name).read_text())
@@ -165,9 +179,35 @@ def test_tampered_data_with_matching_checksums_is_rejected(tmp_path: Path, name,
     checks = json.loads((alt / "checksums.json").read_text())
     checks[name] = hashlib.sha256((alt / name).read_bytes()).hexdigest()
     (alt / "checksums.json").write_text(json.dumps(checks))
-    with pytest.raises(IntegrityError, match=message) as exc:
-        load_appendix_preimage(0, alt)
-    assert str(exc.value).startswith(f"{name}: ")
+    return alt
+
+
+def _drop_edge_0(payload):
+    del payload["graph"]["edges"][0]
+
+
+def _swap_two_map_labels(payload):
+    rows = payload["map"]
+    rows[0][2], rows[1][2] = rows[1][2], rows[0][2]
+
+
+def _repeat_a_map_label(payload):
+    payload["map"][0][2] = payload["map"][1][2]
+
+
+@pytest.mark.parametrize("name, tamper, row", [
+    ("clause_gadget.json", _drop_edge_0, "table 1 mismatch"),
+    ("preimage_0wheels.json", _swap_two_map_labels, "table 2 witness invalid"),
+    ("preimage_0wheels.json", _repeat_a_map_label, "mapping is not injective"),
+])
+def test_lemma_battery_fails_on_data_that_passes_its_schema(tmp_path: Path, name,
+                                                            tamper, row):
+    alt = _tampered_copy(tmp_path, name, tamper)
+    res = subprocess.run([sys.executable, "-m", "trilin.cli", "check", "lemmas",
+                          "--appendix-dir", str(alt)], capture_output=True, text=True)
+    assert res.returncode == 1
+    assert re.search(rf"^FAIL +appendix data round-trips +\({row}\)$", res.stdout, re.M)
+    assert res.stdout.count("FAIL") == 1
 
 
 @pytest.mark.parametrize("checks, message", [

@@ -141,6 +141,23 @@ def test_designate_attachments_rejects_non_7sun():
         designate_attachments(short)
 
 
+def test_designate_attachments_rejects_a_malformed_bowtie():
+    # the ROOT bowtie of the 7-sun: center c0 (0), triangles (c6, a6) =
+    # (6, 13) and (c1, a0) = (1, 7)
+    sun = make_sun(7)
+    edges = list(sun.graph.sorted_edges)
+    for bp, message in (
+        (dataclasses.replace(sun, roles={**sun.roles, "apex": (13,) + sun.roles["apex"][1:]}),
+         "bowtie roles must name five distinct vertices"),
+        (dataclasses.replace(sun, graph=Graph(14, [e for e in edges if e != (0, 7)])),
+         r"missing bowtie edge \(0,7\)"),
+        (dataclasses.replace(sun, graph=Graph(14, edges + [(1, 6)])),
+         "bowtie triangles share more than the center"),
+    ):
+        with pytest.raises(StructureError, match=message):
+            designate_attachments(bp)
+
+
 def test_equal_join_shape():
     sun = designate_attachments(make_sun(7))
     joined = attach_equal(sun, "equal", sun, "root")

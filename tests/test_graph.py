@@ -475,3 +475,18 @@ def test_to_dot_mentions_all_edges():
     g = Graph(3, [(0, 1), (1, 2)])
     dot = to_dot(g)
     assert "0 -- 1" in dot and "1 -- 2" in dot
+
+
+def test_to_dot_escapes_labels():
+    # a label read through parse_json may hold any string; each vertex
+    # stays one line, its label one quoted DOT string
+    g = Graph(4, [(0, 1)], {0: 'a"b', 1: "c\\d", 2: "e\nf", 3: "g"})
+    assert to_dot(g).splitlines() == [
+        "graph G {",
+        '  0 [label="a\\"b"];',
+        '  1 [label="c\\\\d"];',
+        '  2 [label="e\\nf"];',
+        '  3 [label="g"];',
+        "  0 -- 1;",
+        "}",
+    ]

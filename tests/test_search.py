@@ -703,6 +703,45 @@ def test_union_reports_its_failure_and_rollback_undoes_it(step, failure):
     assert (glue.parent, glue.size, glue.nbr) == before
 
 
+def test_ways_finds_none_for_a_merged_copy_and_both_orientations_else():
+    # unit 0 of wire(1) as a 7-wheel; the first atoms of unit 1 are fresh
+    plan = glue_plan(make_wire(1))
+    glue = search.Glue(plan)
+    part = plan.part(0, WHEEL)
+    assert glue.add(part) is None
+    p, q = part.hi, part.hi + 1
+    for t, _ in part.placing:
+        x, y = glue.edge[t]
+        assert glue.ways(t, (x, y)) == glue.ways(t, (y, x)) == ()
+        assert glue.ways(t, (p, q)) == (((p, x), (q, y)), ((p, y), (q, x)))
+
+
+def _glued(plan) -> tuple:
+    """Every vector the free glue search verifies, with its witness bytes,
+    and the nodes it took."""
+    budget = search._Budget()
+    found = [(sorted(a.choices.items()), a.witness.to_json()) for a in
+             search._verified_glues(plan, plan.kinds({}), budget, [])]
+    return found, budget.nodes
+
+
+def test_glue_search_skips_a_copy_already_merged():
+    # unit 1 of wire(2) shares a triangle with unit 0, and adding it merges
+    # its copies of that triangle's vertices, which _Part leaves out of
+    # `pending`; one put back must be skipped, at no node, not tried
+    bp = make_wire(2)
+    plain, settled = glue_plan(bp), glue_plan(bp)
+    for kind in (WHEEL, SQUARED_CYCLE):
+        part = settled.part(1, kind)
+        listed = {frozenset(pair) for _, pair in part.placing + part.pending}
+        part.pending.append(next(
+            (t, (part.lo + i, v)) for i, nbr in enumerate(part.nbrs)
+            for v, t in nbr.items() if frozenset((part.lo + i, v)) not in listed))
+    found, nodes = _glued(plain)
+    assert len(found) == 2
+    assert _glued(settled) == (found, nodes)
+
+
 def test_template_solve_agrees_with_oracle_on_7sun():
     solved = {canonical_form(a.witness.candidate)
               for a in template_solve(designate_attachments(make_sun(7)))}
