@@ -371,6 +371,8 @@ def parse_edgelist(text: str) -> Graph:
                     n_declared = int(parts[1])
                 except ValueError:
                     raise ParseError(f"bad vertex count {parts[1]!r}", lineno)
+                if n_declared < 0:
+                    raise ParseError(f"negative vertex count {n_declared}", lineno)
             continue
         parts = line.split()
         if len(parts) != 2:

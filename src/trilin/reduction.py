@@ -11,8 +11,9 @@ The enforcement size k is `enforce` (default 12, the paper's construction).
 At k = 12 the enforced sun admits only the all-wheel preimage (see
 template_solve on make_binary_enforced_sun(12)), so the squared-cycle side
 of a tap cannot be materialized.  The tap check glues every unit of the
-enforced sun as a squared cycle, on a glue plan built once per size per
-process (`_tap_plan`); where that fails, witness_from_assignment
+enforced sun as a squared cycle once per size per process (`_tap_plan`
+keeps the plan and the answer; each later check charges the glue's nodes
+again to its caller's budget); where that fails, witness_from_assignment
 raises a CertificateError naming the tap, and decide() reports UNSAT for
 every formula, with the failed glue as its reason, without compiling it or
 enumerating assignments.  SOUND_ENFORCE = 16 is the smallest size at
@@ -211,27 +212,47 @@ def _pins(names: list[str], assignment: tuple[bool, ...]) -> dict[str, str]:
     return pins
 
 
+@dataclass
+class _Tap:
+    """The enforced k-sun's glue plan, and the answer of its squared-cycle
+    glue, `(failure or None, nodes)`, once a glue has finished."""
+    plan: _Plan
+    answer: tuple[str | None, int] | None = None
+
+
 @functools.cache
-def _tap_plan(k: int) -> _Plan:
-    """The enforced k-sun's glue plan, built once per size per process.
-    Only the plan is kept, never an answer: a `_Plan` holds no pin and no
-    budget, its parts are only read once built, and each glue keeps its
-    search state in its own `Glue`."""
-    return glue_plan(make_binary_enforced_sun(k))
+def _tap_plan(k: int) -> _Tap:
+    """The enforced k-sun's `_Tap`, built once per size per process: its
+    plan holds no pin and no budget, and its answer is a fact of the
+    construction, not of the formula, so `_cycle_tap_failure` keeps it
+    and charges its nodes again to each caller's budget."""
+    return _Tap(glue_plan(make_binary_enforced_sun(k)))
 
 
 def _cycle_tap_failure(k: int, budget: _Budget) -> str | None:
     """Why the enforced k-sun has no squared-cycle-side preimage, or None
     when it has one: the glue of every unit of `_tap_plan(k)` as a squared
-    cycle, searched under the caller's budget on every call.  Every
-    assignment needs one: with m >= 1 clauses each variable has
-    squared-cycle taps of one parity."""
-    plan = _tap_plan(k)
-    try:
-        glue_templates(plan, dict.fromkeys(plan.names, SQUARED_CYCLE), budget)
-    except GlueError as exc:
-        return exc.failure
-    return None
+    cycle.  Every assignment needs one: with m >= 1 clauses each variable
+    has squared-cycle taps of one parity.
+
+    The first call per size glues under the caller's budget; one cut short
+    by it keeps nothing.  Every later call returns the kept answer and ticks
+    `budget` once per node of that glue, so each caller's budget runs out
+    at the same node as a glue would."""
+    tap = _tap_plan(k)
+    if tap.answer is None:
+        start, failure = budget.nodes, None
+        try:
+            glue_templates(tap.plan, dict.fromkeys(tap.plan.names, SQUARED_CYCLE),
+                           budget)
+        except GlueError as exc:
+            failure = exc.failure
+        tap.answer = (failure, budget.nodes - start)
+        return failure
+    failure, nodes = tap.answer
+    for _ in range(nodes):
+        budget.tick()
+    return failure
 
 
 def witness_from_assignment(r: ReductionOutput,

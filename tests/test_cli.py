@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from trilin import cli
+from trilin import cli, reduction
 from trilin.gadgets import make_bowtie, make_sun
 from trilin.graph import is_isomorphic, parse_json, to_json
 from trilin.operators import (
@@ -249,6 +250,39 @@ def test_witness_command_reports_failures(tmp_path):
     assert "no preimage" in res.stderr.lower()
     assert run_cli("witness", str(cnf), "10").returncode == 2
     assert run_cli("witness", str(cnf), "1x1").returncode == 2
+
+
+@pytest.fixture()
+def sound_cli(monkeypatch):
+    # the commands decide and compile at the sound size, where a satisfiable
+    # formula has a SAT payload and a witness; at the CLI's size 12 it has
+    # neither
+    for name, fn in (("decide_formula", reduction.decide),
+                     ("compile_formula", reduction.compile_formula)):
+        monkeypatch.setattr(cli, name,
+                            functools.partial(fn, enforce=reduction.SOUND_ENFORCE))
+
+
+def test_decide_command_prints_a_satisfying_assignment(
+        sound_cli, monkeypatch, capsys, tmp_path):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(SINGLE)
+    code, out, _ = invoke(monkeypatch, capsys, "decide", str(cnf))
+    payload = json.loads(out)
+    assert (code, payload["status"]) == (0, "SAT")
+    bits = tuple(bool(b) for b in payload["assignment"])
+    assert reduction.satisfies(reduction.parse_dimacs(SINGLE), bits)
+
+
+def test_witness_command_writes_a_witness_that_verifies(
+        sound_cli, monkeypatch, capsys, tmp_path):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(SINGLE)
+    w = tmp_path / "w.json"
+    code, _, _ = invoke(monkeypatch, capsys, "witness", str(cnf), "100", "--out", str(w))
+    assert code == 0
+    code, out, _ = invoke(monkeypatch, capsys, "preimage", "verify", str(w))
+    assert (code, out) == (0, "VALID\n")
 
 
 def test_tlg_compute_path_gives_isolated_vertices(tmp_path):

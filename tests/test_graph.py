@@ -471,6 +471,13 @@ def test_parse_edgelist_errors():
             parse_edgelist(text)
 
 
+@pytest.mark.parametrize("text, line, count", [("# n -3\n", 1, -3), ("0 1\n# n -2\n", 2, -2)])
+def test_parse_edgelist_refuses_a_negative_header_on_its_line(text, line, count):
+    # not as "declared n=-3 but saw vertex -1", with no line: there is no vertex -1
+    with pytest.raises(ParseError, match=f"^line {line}: negative vertex count {count}$"):
+        parse_edgelist(text)
+
+
 def test_to_dot_mentions_all_edges():
     g = Graph(3, [(0, 1), (1, 2)])
     dot = to_dot(g)

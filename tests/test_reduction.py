@@ -422,8 +422,8 @@ def test_decide_tap_check_ticks_the_decision_budget(monkeypatch):
 
 @pytest.mark.parametrize("k, nodes", [(12, 7), (13, 14), (16, 17)])
 def test_tap_check_is_the_same_on_a_cold_and_a_warm_plan(monkeypatch, k, nodes):
-    # the plan is kept per size, never the answer: a check on the kept plan
-    # searches again, under its own budget, with the same nodes and result
+    # the plan and its answer are kept per size: a check on the kept record
+    # charges the kept nodes again to its own budget, with the same result
     ticks = _counted_ticks(monkeypatch)
     reduction._tap_plan.cache_clear()
     runs = []
@@ -480,6 +480,21 @@ def test_tap_check_node_counts(k, nodes):
         reduction._cycle_tap_failure(k, _Budget(SearchLimits(node_budget=nodes - 1)))
 
 
+@pytest.mark.parametrize("k, small, nodes", [(12, 3, 7), (16, 5, 17)])
+def test_tap_glue_cut_short_by_its_budget_keeps_nothing(monkeypatch, k, small, nodes):
+    # the first check runs out of its budget mid-glue; the next check, at the
+    # default limits, glues in full once more rather than read a partial answer
+    reduction._tap_plan.cache_clear()
+    with pytest.raises(BudgetExceededError):
+        reduction._cycle_tap_failure(k, _Budget(SearchLimits(node_budget=small)))
+    ticks = _counted_ticks(monkeypatch)
+    failure = reduction._cycle_tap_failure(k, _Budget(SearchLimits()))
+    assert len(ticks) == nodes
+    assert failure == (None if k == 16 else
+                       "gluing the SQUARED_CYCLE template of emb3 makes a "
+                       "triangle the target lacks")
+
+
 def _capture_glues(monkeypatch) -> list:
     # the (unit names, choices) of every glue_templates call the reduction makes
     calls = []
@@ -496,6 +511,7 @@ def _capture_glues(monkeypatch) -> list:
 def test_tap_check_pins_the_units_of_its_plan(monkeypatch):
     # the enforced 12-sun registers 25 names, 12 of them chains; its plan
     # has 13 units, and the check pins exactly those, all squared cycles
+    reduction._tap_plan.cache_clear()
     calls = _capture_glues(monkeypatch)
     assert reduction._cycle_tap_failure(12, _Budget(SearchLimits())) is not None
     bp = make_binary_enforced_sun(12)
@@ -516,6 +532,7 @@ def test_reduction_pins_the_compiled_plan_units(monkeypatch, enforce, units, glu
     r = compile_formula(f, enforce)
     names = search.glue_plan(r.blueprint).names
     assert len(names) == units
+    reduction._tap_plan.cache_clear()
     calls = _capture_glues(monkeypatch)
     decide(f, enforce=enforce)
     try:
@@ -523,7 +540,7 @@ def test_reduction_pins_the_compiled_plan_units(monkeypatch, enforce, units, glu
     except CertificateError:
         assert enforce == 13
     glued = [choices for plan_names, choices in calls if len(plan_names) != enforce + 1]
-    assert len(glued) == glues and len(calls) == 2 + glues  # and two tap checks
+    assert len(glued) == glues and len(calls) == 1 + glues  # and one tap glue
     for choices in glued:
         assert list(choices) == names
         for name, kind in choices.items():
