@@ -24,6 +24,9 @@ from .errors import (
     UnsatisfyingAssignmentError,
 )
 from .gadgets import (
+    attach_equal,
+    attach_not,
+    designate_attachments,
     join_clause,
     make_binary_enforced_sun,
     make_bowtie,
@@ -362,7 +365,6 @@ def _check_lemma_battery(appendix_dir, lim) -> list[tuple[str, str, str]]:
         return len(found) == 2, f"{len(found)} assignments"
 
     def equal_and_not():
-        from .gadgets import attach_equal, attach_not, designate_attachments
         sun = designate_attachments(make_sun(7))
         eq = template_solve(attach_equal(sun, "equal", sun, "root"), lim)
         nt = template_solve(attach_not(sun, "not", sun, "root"), lim)

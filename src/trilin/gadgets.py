@@ -12,7 +12,6 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _escape
-from operator import itemgetter
 
 from .errors import StructureError
 from .graph import Graph, _find, to_json_obj
@@ -255,26 +254,24 @@ class _Registry(Mapping):
         """The JSON text of every entry by name, as `json.dumps` would
         write the SubGadgets `__getitem__` gives, without making or keeping
         them.  Each built vertex id becomes text once, and each distinct
-        SubGadget object (the entries copied per variable share one) is
-        planned once; an entry is then its slice of the vertex map,
-        gathered, sorted and joined for its vertices, and the same slice of
-        the map's text, gathered and joined for each role."""
+        SubGadget object (the entries copied per variable share one) has its
+        escaped kind and sorted, escaped role keys made once."""
         vm, entries = self._vmap, self._entries
-        tx = list(map(str, range(max(vm, default=-1) + 1))).__getitem__
-        vm_text = list(map(tx, vm))
-        plans: dict[int, tuple] = {}
+        tx = list(map(str, range(max(vm, default=-1) + 1)))
+        heads: dict[int, tuple] = {}
         out = []
         for name in sorted(entries):
             off, sg = entries[name]
-            plan = plans.get(id(sg))
-            if plan is None:
-                plan = plans[id(sg)] = _plan(sg)
-            head, lo, hi, vertices, roles = plan
-            a, b = off + lo, off + hi
-            ids = ",".join(map(tx, sorted(set(vertices(vm[a:b])))))
-            texts = vm_text[a:b]
-            role_text = ",".join([key + ",".join(get(texts)) + "]" for key, get in roles])
-            out.append(f'{_escape(name)}:{head}{ids}],"roles":{{{role_text}}}}}')
+            head = heads.get(id(sg))
+            if head is None:
+                head = heads[id(sg)] = (
+                    f'{{"kind":{_escape(sg.kind)},"vertices":[',
+                    [(f"{_escape(k)}:[", v) for k, v in sorted(sg.roles.items())])
+            opening, roles = head
+            ids = ",".join([tx[x] for x in sorted({vm[x + off] for x in sg.vertices})])
+            role_text = ",".join([key + ",".join([tx[vm[x + off]] for x in v]) + "]"
+                                  for key, v in roles])
+            out.append(f'{_escape(name)}:{opening}{ids}],"roles":{{{role_text}}}}}')
         return "{" + ",".join(out) + "}"
 
     def __contains__(self, name) -> bool:
@@ -309,29 +306,6 @@ def sun_units(bp: GadgetBlueprint) -> list[tuple[str, SubGadget]]:
     if not units:
         raise StructureError("blueprint has no registered sun units")
     return units
-
-
-def _plan(sg: SubGadget) -> tuple:
-    """How _Registry.to_json writes sg: the escaped text before its vertex
-    ids, the span [lo, hi) of part coordinates it reads, a getter of its
-    vertices from that span's slice of the vertex map, and its role keys,
-    sorted and escaped, each with a getter of the role's vertices."""
-    roles = sorted(sg.roles.items())
-    xs = [*sg.vertices, *(x for _, v in roles for x in v)]
-    lo, hi = min(xs, default=0), max(xs, default=-1) + 1
-    gather = lambda t: _gather([x - lo for x in t])
-    return (f'{{"kind":{_escape(sg.kind)},"vertices":[', lo, hi, gather(sg.vertices),
-            [(f"{_escape(k)}:[", gather(v)) for k, v in roles])
-
-
-def _gather(idx: list[int]):
-    """A getter of the items at positions idx of a list, as a list or a
-    tuple: a slice for a run of consecutive positions (one or none
-    included), an itemgetter otherwise."""
-    start = idx[0] if idx else 0
-    if idx == list(range(start, start + len(idx))):
-        return itemgetter(slice(start, start + len(idx)))
-    return itemgetter(*idx)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 
 from .errors import BudgetExceededError, CapacityError, GlueError, StructureError
-from .gadgets import GadgetBlueprint, SubGadget, sun_units
+from .gadgets import GadgetBlueprint, sun_units
 from .graph import Graph, canonical_form, enumerate_triangles
 from .operators import PreimageWitness, verify_certificate
 
@@ -280,26 +280,36 @@ def _certified_witnesses(h: Graph, limits: SearchLimits | None, classes: bool = 
     plan = _depth_plan(h, order, swaps)
     state = _State(h)
     assign = state.assign
-
-    def rec(i: int):
-        if i == len(plan):
-            if any(_image_sorts_first(assign, order, swap) for swap in swaps):
-                return
+    # per open depth, its untried placements and the placement (a, b, slots
+    # before it) kept there: no recursion, so no recursion-depth limit
+    stack, undo = [], []
+    while True:
+        if len(undo) < len(plan):
+            stack.append(iter(_candidate_edges_for(state, plan[len(undo)][1])))
+        elif not any(_image_sorts_first(assign, order, swap) for swap in swaps):
             owner = {assign[t]: t for t in order}
             w = PreimageWitness(h, Graph(state.slots, owner), owner)
             if verify_certificate(w):
                 yield w
+        while stack:  # the next placement, at the deepest depth with one left
+            i = len(stack) - 1
+            if len(undo) > i:
+                state.unplace(*undo.pop())
+            tv, _, closes, tests, seq = plan[i]
+            for a, b in stack[i]:
+                budget.tick()
+                slots = state.slots
+                if state.place(hadj, tv, a, b, closes):
+                    if not any(_image_sorts_first(assign, seq, swap) for swap in tests):
+                        undo.append((a, b, slots))
+                        break
+                    state.unplace(a, b, slots)
+            else:
+                stack.pop()
+                continue
+            break
+        else:
             return
-        tv, nbrs, closes, tests, seq = plan[i]
-        for a, b in _candidate_edges_for(state, nbrs):
-            budget.tick()
-            slots = state.slots
-            if state.place(hadj, tv, a, b, closes):
-                if not any(_image_sorts_first(assign, seq, swap) for swap in tests):
-                    yield from rec(i + 1)
-                state.unplace(a, b, slots)
-
-    yield from rec(0)
 
 
 def brute_force_preimages(h: Graph, limits: SearchLimits | None = None) -> list[PreimageWitness]:
@@ -569,15 +579,17 @@ class _Plan:
     Raises StructureError unless every vertex and every triangle of the
     blueprint lies inside some unit: the glue places only unit vertices.
     The order takes the least name first, then always the unit sharing the
-    most vertices with the units already taken, ties broken by name.  The
-    units holding each vertex are one integer's bits, which the coverage
-    checks AND and the order clears as the vertex is taken.  Each unit
-    taken pushes the new overlap count of every untaken unit it shares a
-    vertex with onto a heap; a unit's highest entry pops first, so the
-    entries left behind are skipped."""
+    most vertices with the units already taken, ties broken by name; a
+    unit's entry is filled as it is taken.  The units holding each vertex
+    are one integer's bits, which the coverage checks AND and the order
+    clears as the vertex is taken.  Each unit taken pushes the new overlap
+    count of every untaken unit it shares a vertex with onto a heap; a
+    unit's highest entry pops first, so the entries left behind are
+    skipped."""
 
-    def __init__(self, bp: GadgetBlueprint, units: list[tuple[str, SubGadget]]):
+    def __init__(self, bp: GadgetBlueprint):
         self.target = g = bp.graph
+        units = sorted(sun_units(bp), key=lambda unit: unit[0])
         mask = [0] * g.n  # the units holding each vertex, as bits
         for i, (_, sg) in enumerate(units):
             bit = 1 << i
@@ -593,24 +605,32 @@ class _Plan:
             if not mask[a] & mask[b] & mask[c]:
                 raise StructureError(
                     f"triangle {tri} not inside any registered sun unit")
-        # heap keys -overlap * |units| + rank, rank the unit's place by name
-        m = len(units)
-        unit_of = sorted(range(m), key=lambda i: units[i][0])
-        rank = [0] * m
-        for r, i in enumerate(unit_of):
-            rank[i] = r
+        self.names: list[str] = []
+        self._units: list[tuple[list, int, set, set, dict]] = []
+        self.atoms = 0
+        keys, vertices = set(), set()
+        m = len(units)  # heap keys -overlap * m + the unit's index
         overlap = [0] * m
         untaken = (1 << m) - 1
         heap = list(range(m))
-        order = []
         while heap:
-            i = unit_of[heapq.heappop(heap) % m]
+            i = heapq.heappop(heap) % m
             if not untaken >> i & 1:
                 continue
             untaken ^= 1 << i
-            order.append(units[i])
+            name, sg = units[i]
+            cycle = sg.roles["cycle"]
+            triangles = [(c, a, c1, frozenset((c, a, c1))) for c, a, c1 in zip(
+                cycle, sg.roles["apex"], cycle[1:] + cycle[:1])]
+            mine = {tri[3] for tri in triangles}
+            self.names.append(name)
+            self._units.append((triangles, self.atoms, mine & keys,
+                                vertices.intersection(sg.vertices), {}))
+            keys |= mine
+            vertices.update(sg.vertices)
+            self.atoms += len(triangles) + 1  # the rim, then the hub
             touched = 0
-            for v in units[i][1].vertices:
+            for v in sg.vertices:
                 held = mask[v]
                 if held:  # v counts once, when first taken
                     mask[v] = 0
@@ -624,23 +644,7 @@ class _Plan:
                 low = touched & -touched
                 touched ^= low
                 j = low.bit_length() - 1
-                heapq.heappush(heap, -overlap[j] * m + rank[j])
-        self.names = [name for name, _ in order]
-        # per unit: its triangles, its first atom, the triangles and
-        # vertices that earlier units hold, and its parts by kind
-        self._units: list[tuple[list, int, set, set, dict]] = []
-        self.atoms = 0
-        keys, vertices = set(), set()
-        for _, sg in order:
-            cycle = sg.roles["cycle"]
-            triangles = [(c, a, c1, frozenset((c, a, c1))) for c, a, c1 in zip(
-                cycle, sg.roles["apex"], cycle[1:] + cycle[:1])]
-            held = {tri[3] for tri in triangles}
-            self._units.append((triangles, self.atoms, held & keys,
-                                vertices.intersection(sg.vertices), {}))
-            keys |= held
-            vertices.update(sg.vertices)
-            self.atoms += len(triangles) + 1  # the rim, then the hub
+                heapq.heappush(heap, -overlap[j] * m + j)
 
     def part(self, i: int, kind: str) -> _Part:
         """Unit i's template of `kind` as a `_Part`, built on first use."""
@@ -665,7 +669,7 @@ class _Plan:
 
 def glue_plan(bp: GadgetBlueprint) -> _Plan:
     """The glue plan of bp's sun units, for `glue_templates` to reuse."""
-    return _Plan(bp, sun_units(bp))
+    return _Plan(bp)
 
 
 def _glue_search(plan: _Plan, kinds: list, budget: _Budget, stuck: list):
@@ -676,7 +680,7 @@ def _glue_search(plan: _Plan, kinds: list, budget: _Budget, stuck: list):
     resumes.  Branch points live on an explicit stack, so there is no
     recursion-depth limit.  `kinds` is `plan.kinds(pin)`; each node ticks
     `budget`.  `stuck` ends as (unit index, name, kind, failure) of the
-    deepest failed glue."""
+    first failed glue at the deepest unit any glue failed at."""
     glue = Glue(plan)
     names, part = plan.names, plan.part
     choices: dict[str, str] = {}
@@ -768,8 +772,9 @@ def glue_templates(plan: _Plan, choices: dict[str, str],
     running `_Budget`, which the search keeps ticking (`decide` shares one
     across its whole decision), or None for a fresh one at the default
     limits.  Raises GlueError when the choices admit no preimage, its
-    `failure` naming the first unit (in search order) whose template cannot
-    be glued on, or saying that the glued candidate does not verify.
+    `failure` naming the deepest unit (in plan order) whose template the
+    search failed to glue on, with that unit's first failure, or saying
+    that the glued candidate does not verify.
     """
     kinds = plan.kinds(choices)
     missing = [name for name in sorted(plan.names) if name not in choices]

@@ -19,6 +19,7 @@ from trilin.errors import (
 )
 from trilin import search
 from trilin.gadgets import (
+    NOT,
     Assembly,
     GadgetBlueprint,
     SubGadget,
@@ -30,6 +31,7 @@ from trilin.gadgets import (
     make_bowtie,
     make_squared_cycle,
     make_sun,
+    make_triangle_strip,
     make_variable_cluster,
     make_wheel,
     make_wire,
@@ -123,6 +125,15 @@ def test_is_tlg_small_stops_at_first_witness():
 def test_oracle_respects_target_cap():
     with pytest.raises(CapacityError):
         brute_force_preimages(make_sun(12).graph, SearchLimits(max_target_vertices=16))
+
+
+def test_oracle_answers_a_long_strip_without_recursion_limit():
+    # T(G) of a 700-triangle strip has 1,401 vertices, one search depth
+    # each: the oracle keeps its placements on its own stack
+    h = triangular_line_graph(make_triangle_strip(700).graph).derived
+    status, w = is_tlg_small(h, SearchLimits(max_target_vertices=h.n))
+    assert h.n == 1401
+    assert status == "YES" and verify_certificate(w)
 
 
 def test_oracle_round_trips_small_operator_images():
@@ -742,6 +753,25 @@ def test_glue_search_skips_a_copy_already_merged():
     assert _glued(settled) == (found, nodes)
 
 
+def test_a_vector_that_two_glues_complete_is_kept_once():
+    # two 7-suns sharing one apex and no triangle: the second unit has a
+    # copy of that apex to settle, and both orientations of its edge glue,
+    # so each of the four vectors completes twice
+    sun = make_sun(7)
+    asm = Assembly()
+    asm.add(sun, "S")
+    asm.add(sun, "T")
+    asm.identify(asm.sub("S").roles["apex"][0], asm.sub("T").roles["apex"][0])
+    bp = asm.build("pair")
+    plan = glue_plan(bp)
+    complete = [tuple(sorted(choices.items())) for choices, _ in
+                search._glue_search(plan, plan.kinds({}), search._Budget(), [])]
+    assert len(complete) == 8 and len(set(complete)) == 4
+    found = template_solve(bp)
+    assert [tuple(sorted(a.choices.items())) for a in found] == sorted(set(complete))
+    assert all(verify_certificate(a.witness) for a in found)
+
+
 def test_template_solve_agrees_with_oracle_on_7sun():
     solved = {canonical_form(a.witness.candidate)
               for a in template_solve(designate_attachments(make_sun(7)))}
@@ -1013,6 +1043,30 @@ def test_glue_templates_names_the_unit_that_cannot_glue():
     with pytest.raises(CertificateError) as exc:
         glue_templates(glue_plan(make_wire(1)), {"H0": WHEEL, "H1": WHEEL})
     assert "H1" in str(exc.value)
+
+
+def test_glue_templates_names_the_deepest_unit_that_cannot_glue():
+    # a NOT-joined chain of 7-suns S - T - U, with S's apex a_0 identified
+    # with T's cycle vertex c_3 too, outside both joins, so that T has a
+    # copy of it to settle.  With T a wheel, one orientation of that copy
+    # glues, and then U fails (NOT-joined suns cannot both be wheels); the
+    # other orientation fails at T itself, later in the search.  The error
+    # names the deeper failure.
+    sun = designate_attachments(make_sun(7))
+    asm = Assembly()
+    for name in "STU":
+        asm.add(sun, name)
+    asm.bowtie_join("S/equal", "T/root", NOT)
+    asm.bowtie_join("T/not", "U/root", NOT)
+    asm.identify(asm.sub("S").roles["apex"][0], asm.sub("T").roles["cycle"][3])
+    plan = glue_plan(asm.build("chain"))
+    assert plan.names == ["S", "T", "U"]
+    pins = {"S": SQUARED_CYCLE, "T": WHEEL}
+    assert verify_certificate(glue_templates(plan, {**pins, "U": SQUARED_CYCLE}))
+    with pytest.raises(GlueError) as exc:
+        glue_templates(plan, {**pins, "U": WHEEL})
+    assert str(exc.value).endswith(
+        "gluing the WHEEL template of U makes two target vertices on one edge")
 
 
 def test_glue_templates_reports_a_glue_that_does_not_verify():
