@@ -123,6 +123,8 @@ def build_clause_preimage(wheels: tuple[bool, bool, bool]) -> PreimageWitness:
     plan = glue_plan(join_clause(make_sun(12), make_sun(12), make_sun(12)))
     wheel = dict(zip(("S1", "S2", "S3"), wheels))
     glue = Glue(plan)
-    for i, name in enumerate(plan.names):
-        glue.add(plan.part(i, WHEEL if wheel[name] else SQUARED_CYCLE))
-    return glue.witness()
+    parts = [plan.part(i, WHEEL if wheel[name] else SQUARED_CYCLE)
+             for i, name in enumerate(plan.names)]
+    for part in parts:
+        glue.add(part)
+    return glue.witness(parts)

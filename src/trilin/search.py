@@ -373,16 +373,17 @@ class Glue:
     reports the failures that no further identification can undo: an edge
     whose ends meet (a loop), two target vertices on one edge, and a closed
     triangle whose edges are not pairwise adjacent in the target.  Each
-    union and each added part writes one undo entry, so a search can roll
-    back to a mark, an earlier length of the log (Westbrook & Tarjan,
-    "Amortized analysis of algorithms for set union with backtracking",
-    SIAM J. Comput. 18 (1989)).
+    union writes one undo entry, so a search can roll back to a mark, an
+    earlier length of the log (Westbrook & Tarjan, "Amortized analysis of
+    algorithms for set union with backtracking", SIAM J. Comput. 18 (1989)).
 
     A plan's units are added in its order, and an unplaced atom keeps
     parent itself and size 1, so an added part only fills its atoms'
-    neighbour maps.  The corners of a triangle and the edge of a target
-    vertex are written by the first unit holding them and read only by
-    later ones, so they need no undo.
+    neighbour maps, which the next part added at its unit overwrites: it
+    writes no undo entry.  The corners of a triangle and the edge of a
+    target vertex are written by the first unit holding them and read only
+    by later ones, so they need no undo either.  The glue keeps no list of
+    its parts; its caller passes them to `witness`.
     """
 
     def __init__(self, plan: _Plan):
@@ -394,7 +395,6 @@ class Glue:
         self.nbr: list = [None] * n     # class root -> {class root: target vertex}
         self.edge: list = [None] * plan.target.n  # target vertex -> its first atom pair
         self.corners: dict = {}         # target triangle -> {t: atom opposite t}
-        self.placed: list = []          # the parts added, in order
         self._log: list = []
 
     def mark(self) -> int:
@@ -403,11 +403,7 @@ class Glue:
     def rollback(self, mark: int) -> None:
         log, parent, size, nbr = self._log, self.parent, self.size, self.nbr
         while len(log) > mark:
-            entry = log.pop()
-            if entry is None:
-                self.placed.pop()
-                continue
-            ra, rb, added = entry
+            ra, rb, added = log.pop()
             parent[rb] = rb
             size[ra] -= size[rb]
             na = nbr[ra]
@@ -472,8 +468,6 @@ class Glue:
         corners of the triangles it shares.  Returns the last failure those
         identifications cause; the part's copies of target vertices placed
         before are `part.pending`, for `ways`."""
-        self.placed.append(part)
-        self._log.append(None)
         self.nbr[part.lo:part.hi] = map(dict.copy, part.nbrs)
         corners, edge = self.corners, self.edge
         for key, mine in part.own:
@@ -498,24 +492,21 @@ class Glue:
             return ()
         return (((p, x), (q, y)), ((p, y), (q, x)))
 
-    def witness(self) -> PreimageWitness:
+    def witness(self, parts: list[_Part]) -> PreimageWitness:
         """The glued candidate and its edge map onto the target, not
-        verified here.  Candidate vertices are numbered in the order of the
-        least atom of each class, over the atoms the placed parts use (a
-        squared cycle never uses its unit's hub atom)."""
+        verified here.  `parts` holds every unit's added part in plan order,
+        so atoms are met in increasing order: candidate vertices are
+        numbered by first sight, over the atoms the parts use (a squared
+        cycle never uses its unit's hub atom)."""
         find = self.find
-        low: dict = {}
-        for part in self.placed:
+        vid: dict = {}
+        for part in parts:
             for a in range(part.lo, part.hi):
-                r = find(a)
-                if r not in low or a < low[r]:
-                    low[r] = a
-        vid = {r: i for i, r in enumerate(sorted(low, key=low.__getitem__))}
+                vid.setdefault(find(a), len(vid))
         mapping = {}
-        for part in self.placed:
-            for t, (a, b) in part.placing:
-                u, v = vid[find(a)], vid[find(b)]
-                mapping[(min(u, v), max(u, v))] = t
+        for t, (a, b) in enumerate(self.edge):
+            u, v = vid[find(a)], vid[find(b)]
+            mapping[(min(u, v), max(u, v))] = t
         return PreimageWitness(self.target, Graph(len(vid), mapping), mapping)
 
 
@@ -679,8 +670,8 @@ def _glue_search(plan: _Plan, kinds: list, budget: _Budget, stuck: list):
     without a failure; the glue holds that candidate until the search
     resumes.  Branch points live on an explicit stack, so there is no
     recursion-depth limit.  `kinds` is `plan.kinds(pin)`; each node ticks
-    `budget`.  `stuck` ends as (unit index, name, kind, failure) of the
-    first failed glue at the deepest unit any glue failed at."""
+    `budget`.  `stuck` ends as (unit index, message) of the first failed
+    glue at the deepest unit any glue failed at."""
     glue = Glue(plan)
     names, part = plan.names, plan.part
     choices: dict[str, str] = {}
@@ -705,7 +696,8 @@ def _glue_search(plan: _Plan, kinds: list, budget: _Budget, stuck: list):
             j += 1
         if failure is not None:
             if not stuck or i > stuck[0]:
-                stuck[:] = (i, names[i], choices[names[i]], failure)
+                stuck[:] = (i, f"gluing the {choices[names[i]]} template of "
+                               f"{names[i]} makes {failure}")
             continue
         while j < len(pending) and not (ways := glue.ways(*pending[j])):
             j += 1
@@ -719,21 +711,22 @@ def _glue_search(plan: _Plan, kinds: list, budget: _Budget, stuck: list):
 
 def _verified_glues(plan: _Plan, kinds: list, budget: _Budget, stuck: list):
     """Yields a TemplateAssignment for the first glue of each choice
-    vector whose witness verifies, in `_glue_search` order.  A complete glue that
-    does not verify marks `stuck` deeper than any unit; the glue can put two
-    target vertices on one candidate edge (as the 4-sun's squared template
-    puts two apexes on one chord), an edge map verify_certificate refuses."""
+    vector whose witness verifies, in `_glue_search` order; `choices` holds
+    every unit's kind in plan order.  A complete glue that does not verify
+    marks `stuck` deeper than any unit; the glue can put two target
+    vertices on one candidate edge (as the 4-sun's squared template puts
+    two apexes on one chord), an edge map verify_certificate refuses."""
     found = set()
     for choices, glue in _glue_search(plan, kinds, budget, stuck):
-        key = tuple(sorted(choices.items()))
+        key = tuple(choices.values())
         if key in found:
             continue
-        w = glue.witness()
+        w = glue.witness([plan.part(i, kind) for i, kind in enumerate(key)])
         if len(w.edge_to_vertex) == w.target.n and verify_certificate(w):
             found.add(key)
             yield TemplateAssignment(dict(choices), w)
         else:
-            stuck[:] = (len(kinds), None, None, None)
+            stuck[:] = (len(kinds), "the glued candidate does not verify")
 
 
 def template_solve(bp: GadgetBlueprint,
@@ -771,10 +764,10 @@ def glue_templates(plan: _Plan, choices: dict[str, str],
     unit of the plan and nothing else (`_Plan.kinds`).  `budget` is a
     running `_Budget`, which the search keeps ticking (`decide` shares one
     across its whole decision), or None for a fresh one at the default
-    limits.  Raises GlueError when the choices admit no preimage, its
-    `failure` naming the deepest unit (in plan order) whose template the
-    search failed to glue on, with that unit's first failure, or saying
-    that the glued candidate does not verify.
+    limits.  Raises GlueError when the choices admit no preimage, with the
+    message `_glue_search` keeps in `stuck`: the deepest unit (in plan
+    order) whose template the search failed to glue on and that unit's
+    first failure, or that the glued candidate does not verify.
     """
     kinds = plan.kinds(choices)
     missing = [name for name in sorted(plan.names) if name not in choices]
@@ -784,6 +777,4 @@ def glue_templates(plan: _Plan, choices: dict[str, str],
     stuck: list = []
     for found in _verified_glues(plan, kinds, budget or _Budget(), stuck):
         return found.witness
-    _, name, kind, failure = stuck
-    raise GlueError(f"gluing the {kind} template of {name} makes {failure}" if name
-                    else "the glued candidate does not verify")
+    raise GlueError(stuck[1])

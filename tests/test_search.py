@@ -714,6 +714,27 @@ def test_union_reports_its_failure_and_rollback_undoes_it(step, failure):
     assert (glue.parent, glue.size, glue.nbr) == before
 
 
+def test_union_reports_a_triangle_whose_two_old_edges_are_not_adjacent():
+    # two 7-wheels, of suns S and T sharing cycle vertex c0, with T's copy
+    # of c0's edge not settled.  Joining S's rim atom 1 to T's rim atom 0
+    # makes that copy end at S's rim atom 1; joining S's rim atom 6 to T's
+    # hub then closes triangles on S's rim atoms 6, 0, 1 (edges c0, a6, a0)
+    # and on 6, 1 and S's hub (edges c0, c6, c1).  The new edge c0 is
+    # adjacent to the two old edges of each, and the old two are not
+    # adjacent to each other.
+    sun = make_sun(7)
+    asm = Assembly()
+    asm.add(sun, "S")
+    asm.add(sun, "T")
+    asm.identify(asm.sub("S").roles["cycle"][0], asm.sub("T").roles["cycle"][0])
+    plan = glue_plan(asm.build("pair"))
+    glue = search.Glue(plan)
+    s, t = plan.part(0, WHEEL), plan.part(1, WHEEL)
+    assert glue.add(s) is None and glue.add(t) is None
+    assert glue.union(s.lo + 1, t.lo) is None
+    assert glue.union(s.lo + 6, t.hi - 1) == "a triangle the target lacks"
+
+
 def test_ways_finds_none_for_a_merged_copy_and_both_orientations_else():
     # unit 0 of wire(1) as a 7-wheel; the first atoms of unit 1 are fresh
     plan = glue_plan(make_wire(1))
