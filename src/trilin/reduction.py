@@ -3,9 +3,10 @@
 Each variable becomes a cluster (a NOT-chained wire of 7-suns with an
 enforced k-sun tapped onto every interior wire sun by an EQUAL gadget);
 each clause twists together the three tapped k-suns selected by its
-literals.  The compiled graph admits a preimage exactly when the template
-choices propagated from a satisfying assignment onto the units of its glue
-plan (`_pins`) can all be realized.
+literals.  At a sound size (below) a satisfying assignment's template
+choices, propagated onto the units of the glue plan (`_pins`), glue into
+a preimage, and the root 7-suns of any preimage read back a satisfying
+assignment.
 
 The enforcement size k is `enforce` (default 12, the paper's construction).
 At k = 12 the enforced sun admits only the all-wheel preimage (see
@@ -15,16 +16,15 @@ enforced sun as a squared cycle once per size per process (`_tap_plan`
 keeps the plan and the answer; each later check charges the glue's nodes
 again to its caller's budget); where that fails, witness_from_assignment
 raises a CertificateError naming the tap, and decide() reports UNSAT for
-every formula, with the failed glue as its reason, without compiling it or
-enumerating assignments.  SOUND_ENFORCE = 16 is the smallest size at
-which the compiled reduction is sound: there every satisfying assignment
-glues into a verified preimage, and decide() agrees with the truth table.
+every formula, with the failed glue as its reason, without compiling it.
+SOUND_ENFORCE = 16 is the smallest size at which the compiled reduction
+is sound: there decide(), which searches the compiled graph's unit-level
+glue with nothing pinned, agrees with the truth table.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -50,12 +50,13 @@ from .search import (
     SearchLimits,
     _Budget,
     _Plan,
+    _verified_glues,
     glue_plan,
     glue_templates,
 )
 
 SOUND_ENFORCE = 16
-MAX_VARS = 20  # decide enumerates all 2^n assignments
+MAX_VARS = 20  # decide's glue search is exponential in the formula
 
 Literal = tuple[int, bool]  # (0-based variable index, True = positive)
 
@@ -168,9 +169,9 @@ def compile_formula(formula: CnfFormula, enforce: int = 12) -> ReductionOutput:
     12 and 15 collapse (the enforced sun keeps only the wheel side); a
     clause of enforced 13-suns has no feasible pattern and a 14-sun clause
     has 1; 16 is sound; at 17 and 18, which give the 7 clause patterns,
-    decide() agrees with the truth table on the corpus, but that checks
-    only the forward direction, as its UNSAT still comes from the truth
-    table; 19 and 20 give only 4 patterns.
+    decide() agrees with the truth table on the corpus in both directions,
+    as far as the unit-level glue it searches reaches (each sun unit a
+    wheel or a squared cycle); 19 and 20 give only 4 patterns.
     Refuses a formula with no clauses and `enforce` < 12."""
     _refuse_uncompilable(formula, enforce)
     m = len(formula.clauses)
@@ -286,18 +287,19 @@ def assignment_from_witness(r: ReductionOutput,
     witness is verified once; then the restriction to each variable's root
     7-sun verifies, so it is the squared 7-cycle (7 vertices, true) or the
     7-wheel (8 vertices, false): the 7-sun has no other preimage
-    (acceptance criterion 2)."""
+    (acceptance criterion 2), and a restriction keeps only the vertices of
+    its edges.  Raises CertificateError when the assignment read back
+    violates a clause."""
     if not verify_certificate(w):
         raise CertificateError("witness does not certify the compiled graph")
     values = []
     for i in range(r.formula.variable_count):
         s = sorted(set(r.blueprint.sub(r.variable_roots[i]).vertices))
         restricted = _restrict(w, s)
-        n = restricted.candidate.n
-        if n not in (7, 8) or not verify_certificate(restricted):
+        if not verify_certificate(restricted):
             raise CertificateError(
                 f"restriction to {r.variable_roots[i]} matches neither template")
-        values.append(n == 7)
+        values.append(restricted.candidate.n == 7)
     out = tuple(values)
     bad = violated_clause(r.formula, out)
     if bad is not None:
@@ -324,14 +326,15 @@ def decide(formula: CnfFormula, limits: SearchLimits | None = None,
     """Exponential desk-scale decision.  One tap check first, before
     compiling: every assignment needs squared-cycle taps, so UNSAT at once
     when the enforced sun has none, with the failed glue as the reason.
-    Otherwise compile the graph, plan its glue once, and keep the first
-    satisfying assignment, in lexicographic order, whose prescribed
-    preimage glues and verifies.  `limits` bounds the whole
-    decision, the tap check and every glue included; budget exhaustion
-    reports UNKNOWN.  `enforce` is the tap size of the compiled graph; only
-    16, 17 and 18 are known to give the truth table's answers (see
-    compile_formula for the measured sizes).  Refuses a formula of more than MAX_VARS variables
-    and, like compile_formula, one with no clauses and `enforce` < 12."""
+    Otherwise search the compiled graph's glue plan with no unit pinned:
+    SAT with the first glue that verifies, decoded by
+    assignment_from_witness, or UNSAT once the search is exhausted; no
+    answer reads the truth table.  `limits` bounds the whole decision, the
+    tap check included; budget exhaustion reports UNKNOWN.  `enforce` is
+    the tap size; only 16, 17 and 18 are known to give the truth table's
+    answers (see compile_formula).  Refuses a formula of more than
+    MAX_VARS variables and, like compile_formula, one with no clauses and
+    `enforce` < 12."""
     n = formula.variable_count
     if n > MAX_VARS:
         raise StructureError(
@@ -346,17 +349,10 @@ def decide(formula: CnfFormula, limits: SearchLimits | None = None,
                 f"the enforced {enforce}-sun has no squared-cycle-side "
                 f"preimage: {failure}"))
         r = compile_formula(formula, enforce)
-        plan = None  # planned at the first satisfying assignment
-        for bits in itertools.product((False, True), repeat=n):
-            budget.tick()
-            if violated_clause(formula, bits) is not None:
-                continue
-            plan = plan or glue_plan(r.blueprint)
-            try:
-                w = glue_templates(plan, _pins(plan.names, bits), budget)
-            except CertificateError:
-                continue
-            return DecisionResult("SAT", bits, w)
+        plan = glue_plan(r.blueprint)
+        found = next(_verified_glues(plan, plan.kinds({}), budget, []), None)
     except BudgetExceededError as exc:
         return DecisionResult("UNKNOWN", reason=str(exc))
-    return DecisionResult("UNSAT")
+    if found is None:
+        return DecisionResult("UNSAT")
+    return DecisionResult("SAT", assignment_from_witness(r, found.witness), found.witness)

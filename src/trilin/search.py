@@ -451,8 +451,9 @@ class Glue:
                     if u in nb:
                         continue
                     t2, t3 = na[u], ns[u]
-                    if (t != t2 and t2 not in adj[t]) or (t != t3 and t3 not in adj[t]) \
-                            or (t2 != t3 and t3 not in adj[t2]):
+                    if ((t != t2 and t2 not in adj[t])
+                            or (t != t3 and t3 not in adj[t])
+                            or (t2 != t3 and t3 not in adj[t2])):
                         failure = "a triangle the target lacks"
                         break
             na[s] = ns[a] = t
@@ -621,15 +622,13 @@ class _Plan:
             vertices.update(sg.vertices)
             self.atoms += len(triangles) + 1  # the rim, then the hub
             touched = 0
-            for v in sg.vertices:
-                held = mask[v]
-                if held:  # v counts once, when first taken
-                    mask[v] = 0
-                    touched |= held
-                    while held:
-                        low = held & -held
-                        held ^= low
-                        overlap[low.bit_length() - 1] += 1
+            for v in sg.vertices:  # v counts once: its mask clears when first taken
+                held, mask[v] = mask[v], 0
+                touched |= held
+                while held:
+                    low = held & -held
+                    held ^= low
+                    overlap[low.bit_length() - 1] += 1
             touched &= untaken
             while touched:
                 low = touched & -touched
@@ -759,8 +758,8 @@ def glue_templates(plan: _Plan, choices: dict[str, str],
     """Materialize one choice vector: the first glue `_verified_glues`
     yields with every unit pinned to its choice.
 
-    `plan` is the blueprint's `glue_plan`, which one blueprint glued for
-    several vectors reuses (`reduction.decide`).  `choices` must name every
+    `plan` is the blueprint's `glue_plan`, which a caller gluing one
+    blueprint more than once can keep.  `choices` must name every
     unit of the plan and nothing else (`_Plan.kinds`).  `budget` is a
     running `_Budget`, which the search keeps ticking (`decide` shares one
     across its whole decision), or None for a fresh one at the default

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import re
@@ -9,6 +10,7 @@ import pytest
 from trilin.errors import (
     BudgetExceededError,
     CertificateError,
+    GlueError,
     ParseError,
     StructureError,
     UnsatisfyingAssignmentError,
@@ -278,11 +280,23 @@ def test_witness_at_sound_size_round_trips():
     assert assignment_from_witness(r, w) == (True, False, False)
 
 
+def test_witness_names_two_target_vertices_on_one_edge_before_a_triangle():
+    # at 14, (1, 1, 0)'s pins for "1 2 3" fail at a union of two classes
+    # that share a neighbour under two labels.  The union reports that, and
+    # checks no triangle on the shared neighbour: the triangle was there
+    # before, and testing it against the absorbing class's label would
+    # report "a triangle the target lacks" first
+    r = compile_formula(parse_dimacs(SINGLE), enforce=14)
+    with pytest.raises(GlueError) as exc:
+        witness_from_assignment(r, (True, True, False))
+    assert exc.value.failure == ("gluing the WHEEL template of x3/V2/sun14 makes "
+                                 "two target vertices on one edge")
+
+
 @pytest.mark.parametrize("enforce", [17, 18])
 def test_decide_at_17_and_18_agrees_with_the_truth_table(enforce):
-    # the forward direction only: each SAT answer's witness decodes to a
-    # satisfying assignment, while UNSAT still means that no assignment
-    # satisfies the formula, not that the graph has no preimage
+    # each SAT answer's witness decodes to a satisfying assignment, and each
+    # UNSAT answer is an exhausted glue search of the compiled graph
     for text in (SINGLE, "p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n", ALL_EIGHT):
         f = parse_dimacs(text)
         res = decide(f, enforce=enforce)
@@ -290,6 +304,17 @@ def test_decide_at_17_and_18_agrees_with_the_truth_table(enforce):
         if res.status == "SAT":
             r = compile_formula(f, enforce)
             assert assignment_from_witness(r, res.witness) == res.assignment
+            assert satisfies(f, res.assignment)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("enforce", [17, 18])
+def test_decide_at_17_and_18_agrees_with_the_truth_table_on_the_corpus(enforce):
+    # both directions on the acceptance corpus, as criterion 8 checks at 16
+    for f in build_corpus():
+        res = decide(f, enforce=enforce)
+        assert res.status == ("UNSAT" if brute_sat(f) is None else "SAT"), f
+        if res.status == "SAT":
             assert satisfies(f, res.assignment)
 
 
@@ -317,6 +342,17 @@ def test_assignment_from_witness_rejects_a_witness_of_another_graph():
     with pytest.raises(CertificateError, match="^witness does not certify the compiled graph$"):
         assignment_from_witness(other, type(w)(other.blueprint.graph, w.candidate,
                                                w.edge_to_vertex))
+
+
+def test_assignment_from_witness_checks_the_clauses_it_reads():
+    # a witness of "1 2 3" for (1, 0, 0) read against "-1 2 3": the graph
+    # is the same, so the witness and each root's restriction verify, and
+    # only the clause check refuses the assignment read back
+    r = compile_formula(parse_dimacs(SINGLE), enforce=16)
+    w = witness_from_assignment(r, (True, False, False))
+    other = dataclasses.replace(r, formula=parse_dimacs("p cnf 3 1\n-1 2 3 0\n"))
+    with pytest.raises(CertificateError, match="^extracted assignment violates clause 1$"):
+        assignment_from_witness(other, w)
 
 
 def test_decide_reports_unsat_for_contradiction():
@@ -354,12 +390,27 @@ def test_decide_refuses_a_nan_budget():
 
 
 def test_decide_budget_holds_across_assignments():
-    # at size 13 the tap check takes 14 nodes and each of the 7 satisfying
-    # assignments fails to glue after 46-48 more; one budget for the whole
-    # decision runs out in the first glue
+    # at size 13 the tap check takes 14 nodes and the glue search of the
+    # compiled graph 246 more; one budget for the whole decision runs out
+    # in that search
     res = decide(parse_dimacs(SINGLE), SearchLimits(node_budget=48), enforce=13)
     assert res.status == "UNKNOWN"
     assert "budget" in res.reason.lower()
+
+
+def _assignment_route(r) -> tuple:
+    """The reference decide no longer takes: glue each satisfying
+    assignment's prescribed pins, in lexicographic order, until one glues.
+    Returns that assignment or None, and the number of failed glues."""
+    failed = 0
+    for bits in itertools.product((False, True), repeat=r.formula.variable_count):
+        if satisfies(r.formula, bits):
+            try:
+                witness_from_assignment(r, bits)
+                return bits, failed
+            except CertificateError:
+                failed += 1
+    return None, failed
 
 
 @pytest.mark.parametrize("enforce, status, assignment, failures", [
@@ -368,28 +419,33 @@ def test_decide_budget_holds_across_assignments():
 ])
 def test_decide_tries_the_next_assignment_after_a_failed_glue(
         monkeypatch, enforce, status, assignment, failures):
-    # at 13 all 7 satisfying assignments fail to glue; at 14 the first 6 do
-    # and (1, 1, 1), the last in lexicographic order, glues
-    failed = []
-    glue = reduction.glue_templates
-
-    def counting_glue(*args):
-        try:
-            return glue(*args)
-        except CertificateError:
-            failed.append(args)
-            raise
-
-    monkeypatch.setattr(reduction, "glue_templates", counting_glue)
-    res = decide(parse_dimacs(SINGLE), enforce=enforce)
+    # decide searches the compiled graph with nothing pinned, so its only
+    # glue_templates call is the tap check's; the assignment route reaches
+    # the same answer: at 13 all 7 satisfying assignments fail to glue, at
+    # 14 the first 6 do and (1, 1, 1), the last in lexicographic order, glues
+    f = parse_dimacs(SINGLE)
+    calls = _capture_glues(monkeypatch)
+    res = decide(f, enforce=enforce)
     assert (res.status, res.assignment) == (status, assignment)
-    assert len(failed) == failures
+    assert all(len(names) == enforce + 1 for names, _ in calls)
+    assert _assignment_route(compile_formula(f, enforce)) == (assignment, failures)
+
+
+def test_decide_reads_no_truth_table(monkeypatch):
+    # the UNSAT of the 3-var 8-clause formula at 16 comes from the exhausted
+    # glue search of its compiled graph, not from evaluating clauses
+    def refuse(*args):
+        raise AssertionError("decide evaluated a clause")
+
+    monkeypatch.setattr(reduction, "violated_clause", refuse)
+    monkeypatch.setattr(reduction, "satisfies", refuse)
+    res = decide(parse_dimacs(ALL_EIGHT), enforce=16)
+    assert (res.status, res.assignment, res.witness) == ("UNSAT", None, None)
 
 
 def test_decide_plans_the_compiled_graph_once(monkeypatch):
     # the first decision at size 13 plans the tap check's enforced sun and
-    # the compiled graph, which each of the 7 satisfying assignments
-    # re-pins; a second decision plans only its compiled graph
+    # the compiled graph; a second decision plans only its compiled graph
     reduction._tap_plan.cache_clear()
     plans = []
     init = search._Plan.__init__
@@ -446,9 +502,8 @@ def test_witness_is_the_same_on_a_cold_and_a_warm_plan():
 
 
 def test_decide_skips_the_loop_when_no_tap_materializes(monkeypatch):
-    # at size 12 no assignment can glue, so the formula is never compiled,
-    # the 2^20 assignments are never enumerated, and a small budget still
-    # reaches a verdict
+    # at size 12 no assignment can glue, so the 20-variable formula is
+    # never compiled or searched, and a small budget still reaches a verdict
     compiled = []
     monkeypatch.setattr(reduction, "compile_formula", lambda *a: compiled.append(a))
     f = CnfFormula(20, (((0, True), (1, True), (2, True)),))
@@ -524,10 +579,12 @@ def test_tap_check_pins_the_units_of_its_plan(monkeypatch):
 
 @pytest.mark.parametrize("enforce, units, glues", [(13, 93, 7 + 1), (16, 111, 1 + 1)])
 def test_reduction_pins_the_compiled_plan_units(monkeypatch, enforce, units, glues):
-    # decide glues each satisfying assignment it tries (all 7 at 13, the
-    # first at 16) and witness_from_assignment glues one; each pins exactly
-    # the compiled plan's units, every unit of tap x{i}/V{j} with the kind
-    # of its wire sun x{i}/H{j}
+    # decide glues no pinned compiled plan: its one glue_templates call is
+    # the tap check's.  The assignment route glues each satisfying
+    # assignment it tries (all 7 at 13, the first at 16) and
+    # witness_from_assignment glues one; each pins exactly the compiled
+    # plan's units, every unit of tap x{i}/V{j} with the kind of its wire
+    # sun x{i}/H{j}
     f = parse_dimacs(SINGLE)
     r = compile_formula(f, enforce)
     names = search.glue_plan(r.blueprint).names
@@ -535,12 +592,14 @@ def test_reduction_pins_the_compiled_plan_units(monkeypatch, enforce, units, glu
     reduction._tap_plan.cache_clear()
     calls = _capture_glues(monkeypatch)
     decide(f, enforce=enforce)
+    assert [len(plan_names) for plan_names, _ in calls] == [enforce + 1]
+    _assignment_route(r)
     try:
         witness_from_assignment(r, (True, False, False))
     except CertificateError:
         assert enforce == 13
-    glued = [choices for plan_names, choices in calls if len(plan_names) != enforce + 1]
-    assert len(glued) == glues and len(calls) == 1 + glues  # and one tap glue
+    glued = [choices for _, choices in calls[1:]]
+    assert len(glued) == glues
     for choices in glued:
         assert list(choices) == names
         for name, kind in choices.items():

@@ -735,6 +735,50 @@ def test_union_reports_a_triangle_whose_two_old_edges_are_not_adjacent():
     assert glue.union(s.lo + 6, t.hi - 1) == "a triangle the target lacks"
 
 
+def test_union_reports_a_triangle_whose_new_edge_misses_the_opposite_edge():
+    # the same two 7-wheels.  Joining S's rim atom 0 to T's rim atom 1 puts
+    # T's edges c1 and a0 at S's rim atom 0; joining S's hub to T's rim
+    # atom 6 then brings T's edges c6 and a6 to the hub, closing triangles
+    # with edges (c6, c0, c1) and (a6, c0, a0).  In each the edge from T's
+    # rim atom 6 is adjacent to S's spoke c0, at the joined class, but not
+    # to the edge opposite the join.
+    sun = make_sun(7)
+    asm = Assembly()
+    asm.add(sun, "S")
+    asm.add(sun, "T")
+    asm.identify(asm.sub("S").roles["cycle"][0], asm.sub("T").roles["cycle"][0])
+    plan = glue_plan(asm.build("pair"))
+    glue = search.Glue(plan)
+    s, t = plan.part(0, WHEEL), plan.part(1, WHEEL)
+    assert glue.add(s) is None and glue.add(t) is None
+    assert glue.union(s.lo, t.lo + 1) is None
+    assert glue.union(s.hi - 1, t.lo + 6) == "a triangle the target lacks"
+
+
+def test_union_reports_a_triangle_whose_edges_at_the_joined_class_are_not_adjacent():
+    # three 7-wheels, of suns R, S and T sharing cycle vertex c0.  Joining
+    # S's rim atom 0 to T's (T's copy of c0's edge stays unsettled) puts
+    # T's edge a0 there; joining S's hub to R's puts R's spoke c1 at the
+    # hub.  Both are adjacent to S's spoke c0 between the two, in T's and
+    # in R's triangle 0.  Joining R's rim atom 1 to T's then closes the
+    # triangle with edges (a0, c1, c0), whose two edges at the joined class,
+    # T's a0 and R's c1, are not adjacent.
+    sun = make_sun(7)
+    asm = Assembly()
+    for name in "RST":
+        asm.add(sun, name)
+    for name in "ST":
+        asm.identify(asm.sub("R").roles["cycle"][0], asm.sub(name).roles["cycle"][0])
+    plan = glue_plan(asm.build("triple"))
+    glue = search.Glue(plan)
+    r, s, t = (plan.part(i, WHEEL) for i in range(3))
+    assert plan.names == ["R", "S", "T"]
+    assert glue.add(r) is None and glue.add(s) is None and glue.add(t) is None
+    assert glue.union(s.lo, t.lo) is None
+    assert glue.union(s.hi - 1, r.hi - 1) is None
+    assert glue.union(r.lo + 1, t.lo + 1) == "a triangle the target lacks"
+
+
 def test_ways_finds_none_for_a_merged_copy_and_both_orientations_else():
     # unit 0 of wire(1) as a 7-wheel; the first atoms of unit 1 are fresh
     plan = glue_plan(make_wire(1))
