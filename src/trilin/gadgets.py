@@ -172,6 +172,8 @@ class Assembly:
         for sg, path in ((ba, path_a), (bb, path_b)):
             if sg.kind != "bowtie":
                 raise StructureError(f"{path!r} is not a bowtie sub-gadget")
+        if mode not in (EQUAL, NOT):  # before any identification
+            raise StructureError(f"unknown join mode {mode!r}")
         ca, (ca1, aa1), (ca2, aa2) = (
             ba.roles["center"][0], ba.roles["t1"], ba.roles["t2"],
         )
@@ -183,12 +185,10 @@ class Assembly:
             # both triangles: identify vertices of different degrees
             self.identify(ca1, ab1)
             self.identify(aa1, cb1)
-        elif mode == NOT:
-            # one triangle same-degree, the other different
+        else:
+            # NOT: one triangle same-degree, the other different
             self.identify(ca1, cb1)
             self.identify(aa1, ab1)
-        else:
-            raise StructureError(f"unknown join mode {mode!r}")
         self.identify(ca2, ab2)
         self.identify(aa2, cb2)
 

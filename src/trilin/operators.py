@@ -165,17 +165,12 @@ def is_triangle_induced(h: Graph, subset: Iterable[int]) -> bool:
 def restrict_preimage(w: PreimageWitness, subset: Iterable[int]) -> PreimageWitness:
     """Restrict a witness for H2 to a triangle-induced H1, per the closure
     lemma: the candidate becomes the subgraph induced by the edges mapping
-    into the subset, and the restricted witness verifies against H1.  w is
-    verified before `_restrict` checks the subset."""
+    into the subset, and the restricted witness verifies against H1.
+    Raises CertificateError unless w verifies, then StructureError unless
+    the subset is triangle-induced in w's target."""
     if not verify_certificate(w):
         raise CertificateError("input witness does not verify")
-    return _restrict(w, sorted(set(subset)))
-
-
-def _restrict(w: PreimageWitness, s: list[int]) -> PreimageWitness:
-    """restrict_preimage's body, for a verified w and a sorted subset s:
-    raises StructureError unless s is triangle-induced in w's target;
-    verifying w is the caller's check."""
+    s = sorted(set(subset))
     if not is_triangle_induced(w.target, s):
         raise StructureError("subset is not triangle-induced in the target")
     target_sub, _ = induced_subgraph(w.target, s)

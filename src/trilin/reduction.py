@@ -5,8 +5,8 @@ enforced k-sun tapped onto every interior wire sun by an EQUAL gadget);
 each clause twists together the three tapped k-suns selected by its
 literals.  At a sound size (below) a satisfying assignment's template
 choices, propagated onto the units of the glue plan (`_pins`), glue into
-a preimage, and the root 7-suns of any preimage read back a satisfying
-assignment.
+a preimage, and the edges that any preimage maps onto the root 7-suns
+read back a satisfying assignment.
 
 The enforcement size k is `enforce` (default 12, the paper's construction).
 At k = 12 the enforced sun admits only the all-wheel preimage (see
@@ -43,7 +43,7 @@ from .gadgets import (
     make_binary_enforced_sun,
 )
 from .graph import every_edge_in_unique_triangle
-from .operators import PreimageWitness, _restrict, verify_certificate
+from .operators import PreimageWitness, verify_certificate
 from .search import (
     SQUARED_CYCLE,
     WHEEL,
@@ -283,28 +283,31 @@ def witness_from_assignment(r: ReductionOutput,
 
 def assignment_from_witness(r: ReductionOutput,
                             w: PreimageWitness) -> tuple[bool, ...]:
-    """Read the stored bits back out of a verified witness.  The whole
-    witness is verified once; then the restriction to each variable's root
-    7-sun verifies, so it is the squared 7-cycle (7 vertices, true) or the
-    7-wheel (8 vertices, false): the 7-sun has no other preimage
-    (acceptance criterion 2), and a restriction keeps only the vertices of
-    its edges.  Raises CertificateError when the assignment read back
-    violates a clause."""
-    if not verify_certificate(w):
+    """The bits stored in a witness of r's compiled graph, read by
+    _read_assignment once w is checked: raises CertificateError unless w's
+    target has the compiled graph's vertex count and edge set (labels are
+    not compared) and w verifies."""
+    g = r.blueprint.graph
+    if w.target.n != g.n or w.target.edges != g.edges or not verify_certificate(w):
         raise CertificateError("witness does not certify the compiled graph")
-    values = []
-    for i in range(r.formula.variable_count):
-        s = sorted(set(r.blueprint.sub(r.variable_roots[i]).vertices))
-        restricted = _restrict(w, s)
-        if not verify_certificate(restricted):
-            raise CertificateError(
-                f"restriction to {r.variable_roots[i]} matches neither template")
-        values.append(restricted.candidate.n == 7)
-    out = tuple(values)
+    return _read_assignment(r, w)
+
+
+def _read_assignment(r: ReductionOutput, w: PreimageWitness) -> tuple[bool, ...]:
+    """The bits of a verified witness w of r's compiled graph: x_i is true
+    iff the candidate edges mapped onto x_i's root 7-sun span 7 vertices
+    (the squared 7-cycle), not 8 (the 7-wheel).  No other count occurs:
+    compile_formula checks that every edge lies in exactly one triangle, so
+    each root 7-sun is triangle-induced; by the closure lemma (criterion
+    10) w restricts to a preimage of it, which by criterion 2 is one of
+    those two, and a restriction keeps only the vertices of its edges.
+    Raises CertificateError when the bits read violate a clause."""
+    edge_of = {t: e for e, t in w.edge_to_vertex.items()}
+    out = tuple(len({x for t in r.blueprint.sub(root).vertices for x in edge_of[t]}) == 7
+                for root in r.variable_roots.values())
     bad = violated_clause(r.formula, out)
     if bad is not None:
-        raise CertificateError(
-            f"extracted assignment violates clause {bad}")
+        raise CertificateError(f"extracted assignment violates clause {bad}")
     return out
 
 
@@ -327,8 +330,8 @@ def decide(formula: CnfFormula, limits: SearchLimits | None = None,
     compiling: every assignment needs squared-cycle taps, so UNSAT at once
     when the enforced sun has none, with the failed glue as the reason.
     Otherwise search the compiled graph's glue plan with no unit pinned:
-    SAT with the first glue that verifies, decoded by
-    assignment_from_witness, or UNSAT once the search is exhausted; no
+    SAT with the first glue that verifies, decoded by _read_assignment
+    without verifying it again, or UNSAT once the search is exhausted; no
     answer reads the truth table.  `limits` bounds the whole decision, the
     tap check included; budget exhaustion reports UNKNOWN.  `enforce` is
     the tap size; only 16, 17 and 18 are known to give the truth table's
@@ -355,4 +358,4 @@ def decide(formula: CnfFormula, limits: SearchLimits | None = None,
         return DecisionResult("UNKNOWN", reason=str(exc))
     if found is None:
         return DecisionResult("UNSAT")
-    return DecisionResult("SAT", assignment_from_witness(r, found.witness), found.witness)
+    return DecisionResult("SAT", _read_assignment(r, found.witness), found.witness)

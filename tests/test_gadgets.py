@@ -187,6 +187,17 @@ def test_join_requires_bowtie_roles():
         gadgets._join(sun, "equal", sun, "root", "XOR", "xor_join")
 
 
+def test_refused_join_mode_identifies_nothing():
+    # the mode is checked before the centres are identified, so a refused
+    # join leaves the disjoint union of the two 14-vertex suns
+    asm = Assembly()
+    for prefix in "ab":
+        asm.add(designate_attachments(make_sun(7)), prefix)
+    with pytest.raises(StructureError, match="unknown join mode 'XOR'"):
+        asm.bowtie_join("a/not", "b/root", "XOR")
+    assert asm.build("pair").graph.n == 28
+
+
 # ---------------------------------------------------------------------------
 # Binary-enforced suns
 # ---------------------------------------------------------------------------

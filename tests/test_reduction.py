@@ -27,7 +27,7 @@ from trilin.gadgets import (
     make_sun,
 )
 from trilin.graph import every_edge_in_unique_triangle
-from trilin.operators import verify_certificate
+from trilin.operators import restrict_preimage, verify_certificate
 from trilin.reduction import (
     CnfFormula,
     _tap_index,
@@ -319,20 +319,38 @@ def test_decide_at_17_and_18_agrees_with_the_truth_table_on_the_corpus(enforce):
 
 
 def test_assignment_from_witness_verifies_the_whole_witness_once(monkeypatch):
-    # one check of the whole witness, then one per variable's restriction
+    # one check of the whole witness and no restriction of it; a warm SAT
+    # decide verifies its glue's witness and decodes it without a second check
     import trilin.operators as operators
-    import trilin.reduction as reduction
 
-    r = compile_formula(parse_dimacs("p cnf 4 3\n1 2 4 0\n-1 3 4 0\n-1 2 -4 0\n"),
-                        enforce=16)
-    w = witness_from_assignment(r, (False, False, False, True))
+    f = parse_dimacs("p cnf 4 3\n1 2 4 0\n-1 3 4 0\n-1 2 -4 0\n")
+    r = compile_formula(f, enforce=16)
+    w = witness_from_assignment(r, (False, False, False, True))  # warms the tap
     sizes = []
     verify = operators.verify_certificate
     counting = lambda w: sizes.append(w.target.n) or verify(w)
-    monkeypatch.setattr(operators, "verify_certificate", counting)
-    monkeypatch.setattr(reduction, "verify_certificate", counting)
+    for module in (operators, reduction, search):
+        monkeypatch.setattr(module, "verify_certificate", counting)
     assert assignment_from_witness(r, w) == (False, False, False, True)
-    assert sizes == [w.target.n] + [14] * 4
+    assert sizes == [w.target.n] == [2813]
+    sizes.clear()
+    assert decide(f, enforce=16).status == "SAT"
+    assert sizes == [2813]
+
+
+@pytest.mark.parametrize("text,bits", [
+    ("p cnf 4 1\n1 2 4 0\n", (False, True, False, False)),
+    ("p cnf 3 2\n-1 2 3 0\n1 -2 3 0\n", (False, False, False)),
+], ids=["4x1", "3x2"])
+def test_assignment_from_witness_refuses_a_verified_witness_of_another_graph(text, bits):
+    # each witness verifies against its own compiled graph, not the graph
+    # of "1 2 3" it is read against, so the target check refuses it before
+    # any root is read (unchecked, the first reads as (False, True, False))
+    w = witness_from_assignment(compile_formula(parse_dimacs(text), enforce=16), bits)
+    assert verify_certificate(w)
+    r = compile_formula(parse_dimacs(SINGLE), enforce=16)
+    with pytest.raises(CertificateError, match="^witness does not certify the compiled graph$"):
+        assignment_from_witness(r, w)
 
 
 def test_assignment_from_witness_rejects_a_witness_of_another_graph():
@@ -633,6 +651,24 @@ def test_compiled_graph_preimage_decodes_to_the_truth_table(text, enforce):
     assert len(found) == (enforce == 16 and brute_sat(f) is not None)
     for a in found:
         assert satisfies(f, assignment_from_witness(r, a.witness))
+
+
+@pytest.mark.parametrize("formulas", [
+    [parse_dimacs(SINGLE)],
+    [parse_dimacs("p cnf 4 3\n1 2 4 0\n-1 3 4 0\n-1 2 -4 0\n"),
+     parse_dimacs("p cnf 4 2\n-1 -2 3 0\n1 -3 -4 0\n")],
+    pytest.param([f for f in build_corpus() if brute_sat(f) is not None],
+                 marks=pytest.mark.slow),
+], ids=["single", "4-var", "corpus"])
+def test_read_assignment_matches_the_restriction_to_each_root(formulas):
+    # the edge-map reading agrees with its reference: restrict every
+    # preimage the search finds to each root 7-sun and test for 7 vertices
+    for f in formulas:
+        r = compile_formula(f, 16)
+        for a in template_solve(r.blueprint):
+            assert reduction._read_assignment(r, a.witness) == tuple(
+                restrict_preimage(a.witness, r.blueprint.sub(root).vertices).candidate.n
+                == 7 for root in r.variable_roots.values())
 
 
 @pytest.mark.parametrize("formulas", [
